@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint model mcheck vet-model bench bench-json bench-gate serve-smoke serve-cluster-smoke clean-cache check
+.PHONY: build test race vet lint model mcheck vet-model repro bench bench-json bench-gate serve-smoke serve-cluster-smoke clean-cache check
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,15 @@ mcheck:
 # deliberate state changes and re-classify the TODO entries.
 vet-model:
 	$(GO) run ./cmd/widir-vet -check
+
+# Reproduction gate: rerun the full paper evaluation at full scale
+# (about a minute on 2 cores) and byte-compare its stdout against the
+# checked-in results/experiments-full-scale.txt. Wall-clock timings go
+# to stderr, so any difference is a change in simulated results.
+repro:
+	$(GO) run ./cmd/widir-experiments -exp all -scale 1.0 > repro-current.txt
+	diff -u results/experiments-full-scale.txt repro-current.txt
+	@echo "full-scale evaluation matches results/experiments-full-scale.txt"
 
 # One pass over every evaluation benchmark (reduced workload scale by
 # default; add WIDIR_BENCH_FLAGS="-widir.scale=1.0" for full runs).

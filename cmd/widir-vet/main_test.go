@@ -69,7 +69,7 @@ func TestCertificateView(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"repro/internal/engine.Queue.wheel",
+		"repro/internal/engine.Calendar.wheel",
 		"needs-partition",
 		"domain-local",
 		"barrier-mediated",

@@ -43,16 +43,18 @@ func (s State) String() string {
 // Valid reports whether the state holds readable data.
 func (s State) Valid() bool { return s != Invalid }
 
-// Line is one resident cache line.
+// Line is one resident cache line. The word-sized fields come first
+// and the three 1-byte fields last, so they share one padded word:
+// 96 bytes per line instead of 104 (TestLineSize pins it).
 type Line struct {
 	Addr        addrspace.Line
-	State       State
-	Dirty       bool
-	UpdateCount int  // WiDir: wireless updates since last local access
-	NonEvict    bool // pinned during an RMW window (§IV-C)
+	UpdateCount int // WiDir: wireless updates since last local access
 	Words       [addrspace.WordsPerLine]uint64
+	lru         uint64 // last-touch stamp for replacement
 
-	lru uint64 // last-touch stamp for replacement
+	State    State
+	Dirty    bool
+	NonEvict bool // pinned during an RMW window (§IV-C)
 }
 
 // Config sizes a cache array.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -201,5 +202,14 @@ func TestResidencyProperty(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLineSize pins the packed layout of Line: every L1 holds one Line
+// per way in a flat array, so padding here is paid per cached line
+// across the whole machine.
+func TestLineSize(t *testing.T) {
+	if got := reflect.TypeOf(Line{}).Size(); got > 96 {
+		t.Fatalf("cache.Line is %d bytes, want <= 96 (keep word-sized fields first, 1-byte fields last)", got)
 	}
 }

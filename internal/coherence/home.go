@@ -80,7 +80,7 @@ type DirEntry struct {
 	HasData      bool // LLC copy valid
 	Dirty        bool // LLC copy newer than memory
 	busy         *txn
-	deferred     []*Msg // puts/acks queued while busy
+	deferred     []Msg // puts queued while busy, copied in by value
 	lru          uint64
 	faultFails   int // consecutive failed wireless broadcasts (W demotion)
 
@@ -143,6 +143,7 @@ type HomeStats struct {
 	DirEvictions    stats.Counter
 	MemReads        stats.Counter
 	MemWrites       stats.Counter
+	DeferredPuts    stats.Counter    // eviction notices queued behind a busy entry
 	LLCAccesses     stats.Counter    // energy accounting
 	SharersAtUpd    *stats.Histogram // Fig. 5: sharers updated per wireless write
 	UpdateSharerSum stats.Counter    // numerator for the mean sharers metric
@@ -205,8 +206,11 @@ type HomeCtrl struct {
 	entries lineTable[*DirEntry]
 	// entryFree recycles dead directory entries (with their Sharers and
 	// deferred scratch arrays), so steady-state allocate/evict churn
-	// stops hitting the allocator.
-	entryFree []*DirEntry
+	// stops hitting the allocator; reqFree recycles the records of
+	// requests waiting out the LLC latency.
+	entryFree freeList[DirEntry]
+	reqFree   freeList[homeRequest]
+	msgs      *MsgPool
 	lruTick   uint64
 
 	// Memory backing store: the golden contents of lines not resident in
@@ -241,9 +245,10 @@ func NewHome(id int, cfg HomeConfig, env Env) *HomeCtrl {
 		cfg.FaultDemoteAfter = 4
 	}
 	return &HomeCtrl{
-		id:  id,
-		cfg: cfg,
-		env: env,
+		id:   id,
+		cfg:  cfg,
+		env:  env,
+		msgs: poolOf(env),
 		Stats: HomeStats{
 			SharersAtUpd: stats.NewHistogram(0, 6, 11, 26, 50),
 		},
@@ -456,7 +461,8 @@ func (m *MemoryImage) Dump() string {
 	return b.String()
 }
 
-// HandleWired dispatches a wired message delivered to this home.
+// HandleWired dispatches a wired message delivered to this home and
+// releases it to the message pool on return.
 func (h *HomeCtrl) HandleWired(now uint64, m *Msg) {
 	switch m.Type {
 	case MsgGetS, MsgGetX:
@@ -466,7 +472,7 @@ func (h *HomeCtrl) HandleWired(now uint64, m *Msg) {
 		if h.cfg.FaultDirDelay != nil {
 			delay += h.cfg.FaultDirDelay()
 		}
-		h.env.After(delay, func(now uint64) { h.processRequest(now, m) })
+		h.later(delay, m, true)
 	case MsgPutS, MsgPutE, MsgPutM, MsgPutW:
 		h.processOrDefer(m)
 	case MsgInvAck, MsgCopyBack, MsgXferAck, MsgRecallAck, MsgWirUpgrAck, MsgWirDwgrAck:
@@ -476,6 +482,34 @@ func (h *HomeCtrl) HandleWired(now uint64, m *Msg) {
 	default:
 		h.fail(m.Line, "home cannot handle %v from %d", m.Type, m.Src)
 	}
+	h.msgs.Release(m)
+}
+
+// homeRequest is a GetS/GetX the directory acts on later: after the
+// LLC bank latency (first dispatch, counted in the stats) or past an
+// in-flight wireless transmission (a re-dispatch). The request is held
+// by value, so the delivered message is released as usual.
+type homeRequest struct {
+	h     *HomeCtrl
+	msg   Msg
+	first bool
+}
+
+// Run implements engine.Runner.
+func (r *homeRequest) Run(now uint64) {
+	if r.first {
+		r.h.processRequest(now, &r.msg)
+	} else {
+		r.h.reprocess(now, &r.msg)
+	}
+	r.h.reqFree.put(r)
+}
+
+// later schedules a copy of request m for dispatch after delay.
+func (h *HomeCtrl) later(delay uint64, m *Msg, first bool) {
+	r := h.reqFree.get()
+	*r = homeRequest{h: h, msg: *m, first: first}
+	h.env.AfterRunner(delay, r)
 }
 
 func (h *HomeCtrl) touch(e *DirEntry) {
@@ -483,9 +517,10 @@ func (h *HomeCtrl) touch(e *DirEntry) {
 	e.lru = h.lruTick
 }
 
-func (h *HomeCtrl) send(dst int, port PortKind, m *Msg) {
-	m.Src = h.id
-	h.env.SendWired(h.id, dst, port, m)
+// send injects a pooled copy of v, stamped with this home as source.
+func (h *HomeCtrl) send(dst int, port PortKind, v Msg) {
+	v.Src = h.id
+	h.env.SendWired(h.id, dst, port, h.msgs.New(v))
 }
 
 func (h *HomeCtrl) nack(m *Msg) {
@@ -495,7 +530,7 @@ func (h *HomeCtrl) nack(m *Msg) {
 			Node: int32(h.id), Other: int32(m.Src), Line: m.Line, B: m.ReqID})
 	}
 	h.Stats.NACKs.Inc()
-	h.send(m.Src, PortL1, &Msg{Type: MsgNACK, Line: m.Line, ReqID: m.ReqID})
+	h.send(m.Src, PortL1, Msg{Type: MsgNACK, Line: m.Line, ReqID: m.ReqID})
 }
 
 // processRequest handles GetS/GetX after the LLC tag latency.
@@ -551,17 +586,10 @@ func (h *HomeCtrl) allocate(m *Msg) *DirEntry {
 			return nil // victim eviction is asynchronous; caller bounces
 		}
 	}
-	var e *DirEntry
-	if n := len(h.entryFree); n > 0 {
-		e = h.entryFree[n-1]
-		h.entryFree[n-1] = nil
-		h.entryFree = h.entryFree[:n-1]
-		*e = DirEntry{Line: m.Line, gen: e.gen + 1,
-			Sharers: e.Sharers[:0], staleWired: e.staleWired[:0],
-			deferred: e.deferred[:0]}
-	} else {
-		e = &DirEntry{Line: m.Line, gen: 1}
-	}
+	e := h.entryFree.get()
+	*e = DirEntry{Line: m.Line, gen: e.gen + 1,
+		Sharers: e.Sharers[:0], staleWired: e.staleWired[:0],
+		deferred: e.deferred[:0]}
 	h.entries.put(m.Line, e)
 	return e
 }
@@ -569,12 +597,9 @@ func (h *HomeCtrl) allocate(m *Msg) *DirEntry {
 // releaseEntry returns a dead entry to the free list. Callers must have
 // removed it from the table first; reuse bumps the generation stamp.
 func (h *HomeCtrl) releaseEntry(e *DirEntry) {
-	for i := range e.deferred {
-		e.deferred[i] = nil // drop message references for the GC
-	}
 	e.deferred = e.deferred[:0]
 	e.busy = nil
-	h.entryFree = append(h.entryFree, e)
+	h.entryFree.put(e)
 }
 
 // evictVictim starts (or completes, for quiet entries) the eviction of
@@ -621,7 +646,7 @@ func (h *HomeCtrl) evictVictim() bool {
 	case DirOwned:
 		t := &txn{kind: txEvict, acksLeft: 1, started: h.env.Now()}
 		victim.busy = t
-		h.send(victim.Owner, PortL1, &Msg{Type: MsgRecall, Line: victim.Line})
+		h.send(victim.Owner, PortL1, Msg{Type: MsgRecall, Line: victim.Line})
 		return true
 	case DirWireless:
 		// Table II W->I: broadcast WirInv; write back if dirty.
@@ -644,8 +669,8 @@ func (h *HomeCtrl) finishEvict(e *DirEntry) {
 	h.writebackIfDirty(e)
 	h.entries.del(e.Line)
 	// Deferred puts for a dropped entry are acked leniently.
-	for _, m := range e.deferred {
-		h.ackPut(m)
+	for i := range e.deferred {
+		h.ackPut(&e.deferred[i])
 	}
 	h.releaseEntry(e)
 }
@@ -658,7 +683,7 @@ func (h *HomeCtrl) writebackIfDirty(e *DirEntry) {
 	if h.Memory != nil {
 		h.Memory.WriteLine(e.Line, e.Words)
 	}
-	h.send(h.env.MCOf(e.Line), PortMC, &Msg{
+	h.send(h.env.MCOf(e.Line), PortMC, Msg{
 		Type: MsgMemWrite, Line: e.Line, HasData: true, Words: e.Words,
 	})
 	e.Dirty = false
@@ -670,7 +695,7 @@ func (h *HomeCtrl) serveUncached(e *DirEntry, m *Msg) {
 	if !e.HasData {
 		e.busy = &txn{kind: txFetchMem, requester: m.Src, reqType: m.Type, reqID: m.ReqID, started: h.env.Now()}
 		h.Stats.MemReads.Inc()
-		h.send(h.env.MCOf(e.Line), PortMC, &Msg{Type: MsgMemRead, Line: e.Line, Requester: h.id})
+		h.send(h.env.MCOf(e.Line), PortMC, Msg{Type: MsgMemRead, Line: e.Line, Requester: h.id})
 		return
 	}
 	h.grantFromLLC(e, m.Src, m.Type, m.ReqID)
@@ -681,12 +706,12 @@ func (h *HomeCtrl) grantFromLLC(e *DirEntry, requester int, reqType MsgType, req
 		e.State = DirOwned // MESI: clean-exclusive grant
 		e.Owner = requester
 		e.OwnerDirty = false
-		h.send(requester, PortL1, &Msg{Type: MsgDataE, Line: e.Line, ReqID: reqID, HasData: true, Words: e.Words})
+		h.send(requester, PortL1, Msg{Type: MsgDataE, Line: e.Line, ReqID: reqID, HasData: true, Words: e.Words})
 	} else {
 		e.State = DirOwned
 		e.Owner = requester
 		e.OwnerDirty = true
-		h.send(requester, PortL1, &Msg{Type: MsgDataM, Line: e.Line, ReqID: reqID, HasData: true, Words: e.Words})
+		h.send(requester, PortL1, Msg{Type: MsgDataM, Line: e.Line, ReqID: reqID, HasData: true, Words: e.Words})
 	}
 }
 
@@ -704,8 +729,10 @@ func (h *HomeCtrl) serveShared(e *DirEntry, m *Msg) {
 			return
 		}
 		h.addSharer(e, m.Src)
-		h.tracef(h.env.Now(), e.Line, "home %d: DataS to %d, sharers=%v", h.id, m.Src, e.Sharers)
-		h.send(m.Src, PortL1, &Msg{Type: MsgDataS, Line: e.Line, ReqID: m.ReqID, HasData: true, Words: e.Words})
+		if h.cfg.Log != nil {
+			h.tracef(h.env.Now(), e.Line, "home %d: DataS to %d, sharers=%v", h.id, m.Src, e.Sharers)
+		}
+		h.send(m.Src, PortL1, Msg{Type: MsgDataS, Line: e.Line, ReqID: m.ReqID, HasData: true, Words: e.Words})
 		return
 	}
 
@@ -720,7 +747,7 @@ func (h *HomeCtrl) serveShared(e *DirEntry, m *Msg) {
 		// non-sharer, one that resolved its store locally under a
 		// BrWirUpgr ignores it. Serving it instead would count a core
 		// into a fresh S->W upgrade that never joins the group.
-		h.send(m.Src, PortL1, &Msg{Type: MsgWDiscard, Line: e.Line, ReqID: m.ReqID})
+		h.send(m.Src, PortL1, Msg{Type: MsgWDiscard, Line: e.Line, ReqID: m.ReqID})
 		return
 	}
 	if h.cfg.Protocol == WiDir && !isSharer && e.sharerCountNow()+1 > h.cfg.MaxWiredSharers {
@@ -751,7 +778,7 @@ func (h *HomeCtrl) sendInvalidations(e *DirEntry, skip int) int {
 				continue // Dir_iCV_r: the node's region held no sharer
 			}
 			h.Stats.Invalidations.Inc()
-			h.send(node, PortL1, &Msg{Type: MsgInv, Line: e.Line})
+			h.send(node, PortL1, Msg{Type: MsgInv, Line: e.Line})
 			n++
 		}
 		return n
@@ -761,7 +788,7 @@ func (h *HomeCtrl) sendInvalidations(e *DirEntry, skip int) int {
 			continue
 		}
 		h.Stats.Invalidations.Inc()
-		h.send(s, PortL1, &Msg{Type: MsgInv, Line: e.Line})
+		h.send(s, PortL1, Msg{Type: MsgInv, Line: e.Line})
 		n++
 	}
 	return n
@@ -777,7 +804,7 @@ func (h *HomeCtrl) finishInvAll(e *DirEntry) {
 	e.Broadcast = false
 	e.CoarseVec = 0
 	e.SharerApprox = 0
-	h.send(t.requester, PortL1, &Msg{Type: MsgDataM, Line: e.Line, ReqID: t.reqID, HasData: true, Words: e.Words})
+	h.send(t.requester, PortL1, Msg{Type: MsgDataM, Line: e.Line, ReqID: t.reqID, HasData: true, Words: e.Words})
 	h.drainDeferred(e)
 }
 
@@ -862,11 +889,11 @@ func (h *HomeCtrl) serveOwned(e *DirEntry, m *Msg) {
 	}
 	if m.Type == MsgGetS {
 		e.busy = &txn{kind: txFwdGetS, requester: m.Src, reqID: m.ReqID, started: h.env.Now()}
-		h.send(e.Owner, PortL1, &Msg{Type: MsgFwdGetS, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
+		h.send(e.Owner, PortL1, Msg{Type: MsgFwdGetS, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
 		return
 	}
 	e.busy = &txn{kind: txFwdGetX, requester: m.Src, reqID: m.ReqID, started: h.env.Now()}
-	h.send(e.Owner, PortL1, &Msg{Type: MsgFwdGetX, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
+	h.send(e.Owner, PortL1, Msg{Type: MsgFwdGetX, Line: e.Line, Requester: m.Src, ReqID: m.ReqID})
 }
 
 // serveWireless handles wired requests against a W line (Table II W->W
@@ -877,8 +904,7 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) {
 	// directory's transceiver observes the channel, so defer the
 	// request past the in-flight transmission.
 	if h.env.WirelessActive(e.Line) {
-		mm := m
-		h.env.After(1, func(now uint64) { h.reprocess(now, mm) })
+		h.later(1, m, false)
 		return
 	}
 	if m.Type == MsgGetX && m.IsSharer {
@@ -887,7 +913,7 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) {
 		// informed it. Discard — with an explicit notification so a
 		// requester that lost its copy before the broadcast (and so
 		// could not resolve locally) re-requests as a non-sharer.
-		h.send(m.Src, PortL1, &Msg{Type: MsgWDiscard, Line: e.Line, ReqID: m.ReqID})
+		h.send(m.Src, PortL1, Msg{Type: MsgWDiscard, Line: e.Line, ReqID: m.ReqID})
 		return
 	}
 	// Table II W->W case 1: add the sharer over the wired network while
@@ -896,7 +922,7 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) {
 	t := &txn{kind: txWAddSharer, requester: m.Src, jammed: true, started: h.env.Now()}
 	e.busy = t
 	h.env.Jam(e.Line, h.id)
-	h.send(m.Src, PortL1, &Msg{
+	h.send(m.Src, PortL1, Msg{
 		Type: MsgWirUpgr, Line: e.Line, ReqID: m.ReqID, NeedAck: true, HasData: true, Words: e.Words,
 	})
 }
@@ -905,7 +931,9 @@ func (h *HomeCtrl) serveWireless(e *DirEntry, m *Msg) {
 // the line, send the line to the requester over the wired NoC, and wait
 // for the ToneAck to complete.
 func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
-	h.tracef(h.env.Now(), e.Line, "home %d: S->W trigger by %d, sharers=%v", h.id, m.Src, e.Sharers)
+	if h.cfg.Log != nil {
+		h.tracef(h.env.Now(), e.Line, "home %d: S->W trigger by %d, sharers=%v", h.id, m.Src, e.Sharers)
+	}
 	h.Stats.SToW.Inc()
 	t := &txn{kind: txSToW, requester: m.Src, reqType: m.Type, jammed: true, started: h.env.Now()}
 	e.busy = t
@@ -947,7 +975,7 @@ func (h *HomeCtrl) startSToW(e *DirEntry, m *Msg) {
 
 	// Concurrently, the requester gets the line over the wired NoC; no
 	// WirUpgrAck is needed — its tone drop completes the handshake.
-	h.send(m.Src, PortL1, &Msg{
+	h.send(m.Src, PortL1, Msg{
 		Type: MsgWirUpgr, Line: e.Line, ReqID: m.ReqID, NeedAck: false, HasData: true, Words: e.Words,
 	})
 }
@@ -992,7 +1020,8 @@ func (h *HomeCtrl) processOrDefer(m *Msg) {
 	}
 	if e.Busy() {
 		if !h.consumeBusyPut(e, m) {
-			e.deferred = append(e.deferred, m)
+			h.Stats.DeferredPuts.Inc()
+			e.deferred = append(e.deferred, *m)
 		}
 		return
 	}
@@ -1034,7 +1063,9 @@ func (h *HomeCtrl) consumeBusyPut(e *DirEntry, m *Msg) bool {
 // leniently: stale notices (from states the line has since left) are
 // acknowledged and ignored.
 func (h *HomeCtrl) processPut(e *DirEntry, m *Msg) {
-	h.tracef(h.env.Now(), m.Line, "home %d: put %v from %d in state %v sharers=%v count=%d", h.id, m.Type, m.Src, e.State, e.Sharers, e.SharerCount)
+	if h.cfg.Log != nil {
+		h.tracef(h.env.Now(), m.Line, "home %d: put %v from %d in state %v sharers=%v count=%d", h.id, m.Type, m.Src, e.State, e.Sharers, e.SharerCount)
+	}
 	h.Stats.LLCAccesses.Inc()
 	defer h.ackPut(m)
 	switch e.State {
@@ -1101,7 +1132,7 @@ func (h *HomeCtrl) processPut(e *DirEntry, m *Msg) {
 }
 
 func (h *HomeCtrl) ackPut(m *Msg) {
-	h.send(m.Src, PortL1, &Msg{Type: MsgPutAck, Line: m.Line})
+	h.send(m.Src, PortL1, Msg{Type: MsgPutAck, Line: m.Line})
 }
 
 // startWToS runs Table II's W->S transition: broadcast WirDwgr and
@@ -1132,7 +1163,9 @@ func (h *HomeCtrl) maybeFinishWToS(e *DirEntry) {
 	if t.cancelTx != nil {
 		t.cancelTx()
 	}
-	h.tracef(h.env.Now(), e.Line, "home %d: W->S commit ackIDs=%v", h.id, t.ackIDs)
+	if h.cfg.Log != nil {
+		h.tracef(h.env.Now(), e.Line, "home %d: W->S commit ackIDs=%v", h.id, t.ackIDs)
+	}
 	if h.cfg.Trace != nil {
 		h.cfg.Trace.Emit(obs.Event{Cycle: h.env.Now(), Kind: obs.EvWDowngrade,
 			Node: int32(h.id), Other: obs.NoNode, Line: e.Line,
@@ -1269,18 +1302,21 @@ func (h *HomeCtrl) processMemData(m *Msg) {
 //proto:stop
 func (h *HomeCtrl) drainDeferred(e *DirEntry) {
 	pending := e.deferred
-	e.deferred = nil
-	for i, m := range pending {
+	e.deferred = nil // nested drains (a put finishing a W->S) see none
+	for i := range pending {
+		m := &pending[i]
 		if e.Busy() {
 			if h.consumeBusyPut(e, m) {
 				continue
 			}
-			// Keep m and everything after it deferred, in order.
-			e.deferred = append(e.deferred, pending[i:]...)
+			// Keep m and everything after it deferred, in order,
+			// compacted to the front of the same backing array.
+			e.deferred = append(pending[:0], pending[i:]...)
 			return
 		}
 		h.processPut(e, m)
 	}
+	e.deferred = pending[:0]
 }
 
 func containsID(xs []int, v int) bool {

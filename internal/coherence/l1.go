@@ -89,10 +89,10 @@ type pendingReq struct {
 	retries     int
 	started     uint64 // cycle the transaction began (age watchdog)
 
-	// gen is the entry's generation stamp. pendingReq objects are
-	// pooled; reuse bumps the stamp, and the NACK retry timer checks it
-	// so a stale timer cannot act on a recycled entry that happens to
-	// sit at the same address (and even the same line) again.
+	// gen is the entry's generation stamp, unique per controller.
+	// pendingReq objects are pooled; every reuse takes a fresh stamp,
+	// and the NACK retry timer checks it so a stale timer cannot act
+	// on a recycled entry that happens to sit at the same line again.
 	gen uint64
 }
 
@@ -127,6 +127,7 @@ type L1Stats struct {
 	SelfInvalidations  stats.Counter // UpdateCount decay (W -> I + PutW)
 	Evictions          stats.Counter
 	NACKs              stats.Counter
+	FillWaits          stats.Counter // fills held at the NIC: target set fully pinned
 	RMWRetries         stats.Counter // wireless RMW aborts (§IV-C)
 	WirelessTxFailures stats.Counter // wireless sends abandoned after fault retries
 	L1Accesses         stats.Counter // energy accounting
@@ -160,10 +161,16 @@ type L1Ctrl struct {
 	victims lineTable[victimEntry]
 	wwFails lineTable[int] // consecutive fault-aborted sends per line
 
-	// compFree recycles completion events (see scheduleDone) and
-	// pendFree recycles pending-transaction entries (see newPending).
-	compFree []*completion
-	pendFree []*pendingReq
+	// compFree recycles completion events (see scheduleDone),
+	// pendFree pending-transaction entries (see newPending), and
+	// fillFree/nackFree the retry records of fills waiting at the NIC
+	// and NACKed requests.
+	compFree freeList[completion]
+	pendFree freeList[pendingReq]
+	fillFree freeList[fillRetry]
+	nackFree freeList[nackRetry]
+	pendGen  uint64 // last pendingReq generation stamp handed out
+	msgs     *MsgPool
 
 	// Checker hooks (nil outside tests): see machine.Checker.
 	OnSerializedWrite func(now uint64, a addrspace.Addr, v uint64)
@@ -199,6 +206,7 @@ func NewL1(id int, cfg L1Config, env Env) *L1Ctrl {
 		cfg:       cfg,
 		env:       env,
 		data:      cache.New(cfg.Cache),
+		msgs:      poolOf(env),
 		retrySeed: uint64(id)*2654435761 + 1,
 	}
 	l.Stats.MissLatency = stats.NewHistogram(MissLatencyBins...)
@@ -437,20 +445,13 @@ type completion struct {
 func (cp *completion) Run(now uint64) {
 	l, r, v := cp.l, cp.r, cp.v
 	cp.r = nil
-	l.compFree = append(l.compFree, cp)
+	l.compFree.put(cp)
 	l.finish(r, now, v)
 }
 
 func (l *L1Ctrl) scheduleDone(delay uint64, r *MemRequest, v uint64) {
-	var cp *completion
-	if n := len(l.compFree); n > 0 {
-		cp = l.compFree[n-1]
-		l.compFree[n-1] = nil
-		l.compFree = l.compFree[:n-1]
-	} else {
-		cp = &completion{l: l}
-	}
-	cp.r, cp.v = r, v
+	cp := l.compFree.get()
+	cp.l, cp.r, cp.v = l, r, v
 	l.env.AfterRunner(delay, cp)
 }
 
@@ -525,19 +526,14 @@ func (l *L1Ctrl) miss(line addrspace.Line, r *MemRequest, isSharer bool) {
 }
 
 // newPending builds a pending-transaction entry, recycling a released
-// one when available; reuse bumps the generation stamp and keeps the
-// waiters scratch array.
+// one when available; every entry takes a fresh generation stamp, and
+// reuse keeps the waiters scratch array.
 func (l *L1Ctrl) newPending(line addrspace.Line, kind pendingKind, r *MemRequest, isSharer bool) *pendingReq {
-	if n := len(l.pendFree); n > 0 {
-		p := l.pendFree[n-1]
-		l.pendFree[n-1] = nil
-		l.pendFree = l.pendFree[:n-1]
-		*p = pendingReq{line: line, kind: kind, req: r, isSharer: isSharer,
-			started: l.env.Now(), gen: p.gen + 1, waiters: p.waiters[:0]}
-		return p
-	}
-	return &pendingReq{line: line, kind: kind, req: r, isSharer: isSharer,
-		started: l.env.Now(), gen: 1}
+	p := l.pendFree.get()
+	l.pendGen++
+	*p = pendingReq{line: line, kind: kind, req: r, isSharer: isSharer,
+		started: l.env.Now(), gen: l.pendGen, waiters: p.waiters[:0]}
+	return p
 }
 
 // releasePending returns a dissolved entry to the free list. Callers
@@ -551,7 +547,7 @@ func (l *L1Ctrl) releasePending(p *pendingReq) {
 	}
 	p.waiters = p.waiters[:0]
 	p.req = nil
-	l.pendFree = append(l.pendFree, p)
+	l.pendFree.put(p)
 }
 
 func (l *L1Ctrl) sendRequest(p *pendingReq, t MsgType) {
@@ -566,10 +562,16 @@ func (l *L1Ctrl) sendRequest(p *pendingReq, t MsgType) {
 			Node: int32(l.id), Other: int32(l.env.HomeOf(p.line)),
 			Line: p.line, A: sp, B: p.reqID})
 	}
-	l.env.SendWired(l.id, l.env.HomeOf(p.line), PortHome, &Msg{
-		Type: t, Line: p.line, Src: l.id, Requester: l.id, ReqID: p.reqID,
+	l.send(l.env.HomeOf(p.line), PortHome, Msg{
+		Type: t, Line: p.line, Requester: l.id, ReqID: p.reqID,
 		IsSharer: p.isSharer,
 	})
+}
+
+// send injects a pooled copy of v, stamped with this L1 as source.
+func (l *L1Ctrl) send(dst int, port PortKind, v Msg) {
+	v.Src = l.id
+	l.env.SendWired(l.id, dst, port, l.msgs.New(v))
 }
 
 // beginSpan opens an observability span for the request unless it
@@ -619,7 +621,9 @@ func (l *L1Ctrl) wirelessStore(ln *cache.Line, r *MemRequest) {
 		l.complete(r, old)
 		return
 	}
-	l.tracef(l.env.Now(), line, "l1 %d: wirelessStore queued rmw=%v write=%v val=%d", l.id, r.IsRMW, r.IsWrite, r.Value)
+	if l.cfg.Log != nil {
+		l.tracef(l.env.Now(), line, "l1 %d: wirelessStore queued rmw=%v write=%v val=%d", l.id, r.IsRMW, r.IsWrite, r.Value)
+	}
 	if r.IsRMW {
 		l.beginSpan(r, line, obs.ClassWirelessRMW)
 	} else {
@@ -672,10 +676,14 @@ func (l *L1Ctrl) wirelessTxDone(ww *wirelessWrite, upd WirUpd) {
 			Node: int32(l.id), Other: obs.NoNode, Line: ww.line,
 			A: ww.req.obsSpan, B: uint64(ww.word)})
 	}
-	l.tracef(l.env.Now(), ww.line, "l1 %d: WirUpd serialized word=%d val=%d rmw=%v", l.id, ww.word, upd.Value, ww.req.IsRMW)
+	if l.cfg.Log != nil {
+		l.tracef(l.env.Now(), ww.line, "l1 %d: WirUpd serialized word=%d val=%d rmw=%v", l.id, ww.word, upd.Value, ww.req.IsRMW)
+	}
 	l.serializeWrite(ww.line.WordAddr(ww.word), upd.Value)
 	if ww.req.IsRMW {
-		l.tracef(l.env.Now(), ww.line, "l1 %d: RMW complete old=%d new=%d", l.id, ww.oldVal, upd.Value)
+		if l.cfg.Log != nil {
+			l.tracef(l.env.Now(), ww.line, "l1 %d: RMW complete old=%d new=%d", l.id, ww.oldVal, upd.Value)
+		}
 		l.observeRead(ww.line.WordAddr(ww.word), ww.oldVal)
 		l.completeNow(ww.req, ww.oldVal)
 	} else {
@@ -755,7 +763,8 @@ func (l *L1Ctrl) observeRead(a addrspace.Addr, v uint64) {
 	}
 }
 
-// HandleWired dispatches a wired message delivered to this L1.
+// HandleWired dispatches a wired message delivered to this L1 and
+// releases it to the message pool on return.
 func (l *L1Ctrl) HandleWired(now uint64, m *Msg) {
 	switch m.Type {
 	case MsgDataS, MsgDataE, MsgDataM, MsgDataOwnerS, MsgDataOwnerM, MsgWirUpgr:
@@ -777,6 +786,7 @@ func (l *L1Ctrl) HandleWired(now uint64, m *Msg) {
 	default:
 		l.fail(m.Line, "L1 cannot handle %v from %d", m.Type, m.Src)
 	}
+	l.msgs.Release(m)
 }
 
 // handleDataResponse applies a data grant. A grant whose ReqID matches
@@ -789,8 +799,10 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 	// within a bounded number of cycles.
 	if l.data.Lookup(m.Line) == nil {
 		if _, ok := l.data.Victim(m.Line); !ok {
-			mm := m
-			l.env.After(1, func(now uint64) { l.handleDataResponse(now, mm) })
+			l.Stats.FillWaits.Inc()
+			r := l.fillFree.get()
+			*r = fillRetry{l: l, msg: *m}
+			l.env.AfterRunner(1, r)
 			return
 		}
 	}
@@ -885,15 +897,15 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 	if m.Type == MsgDataOwnerM {
 		// Ownership arrived from the old owner; tell the home so it can
 		// record us and unblock the entry.
-		l.env.SendWired(l.id, l.env.HomeOf(m.Line), PortHome, &Msg{
-			Type: MsgXferAck, Line: m.Line, Src: l.id,
+		l.send(l.env.HomeOf(m.Line), PortHome, Msg{
+			Type: MsgXferAck, Line: m.Line,
 		})
 	}
 	if m.Type == MsgWirUpgr {
 		ln.UpdateCount = 0
 		if m.NeedAck {
-			l.env.SendWired(l.id, l.env.HomeOf(m.Line), PortHome, &Msg{
-				Type: MsgWirUpgrAck, Line: m.Line, Src: l.id,
+			l.send(l.env.HomeOf(m.Line), PortHome, Msg{
+				Type: MsgWirUpgrAck, Line: m.Line,
 			})
 		}
 	}
@@ -945,6 +957,20 @@ func (l *L1Ctrl) handleDataResponse(now uint64, m *Msg) {
 	l.releasePending(p)
 }
 
+// fillRetry is a data grant waiting at the network interface for a
+// way of its target set to unpin. It holds the grant by value, so the
+// delivered message is released as usual.
+type fillRetry struct {
+	l   *L1Ctrl
+	msg Msg
+}
+
+// Run implements engine.Runner.
+func (r *fillRetry) Run(now uint64) {
+	r.l.handleDataResponse(now, &r.msg)
+	r.l.fillFree.put(r)
+}
+
 // redispatch re-enters queued accesses now that the line is resident.
 //
 //proto:stop
@@ -974,31 +1000,46 @@ func (l *L1Ctrl) handleNACK(m *Msg) {
 	}
 	p.retries++
 	delay := l.retryJitter() * uint64(min(p.retries, 4))
-	gen := p.gen
-	l.env.After(delay, func(now uint64) {
-		// The generation check rejects a recycled entry that landed on
-		// the same line again: same pointer, different transaction.
-		if pp, ok := l.pending.get(m.Line); !ok || pp != p || p.gen != gen {
-			return
-		}
-		if ln := l.data.Lookup(m.Line); ln != nil && l.satisfies(ln, p) {
-			l.pending.del(m.Line)
-			ln.NonEvict = false
-			l.requeue(append([]*MemRequest{p.req}, p.waiters...))
-			l.releasePending(p)
-			return
-		}
-		t := MsgGetS
-		if p.kind != pendLoad {
-			t = MsgGetX
-		}
-		p.isSharer = false
-		if ln := l.data.Lookup(m.Line); ln != nil && ln.State == cache.Shared {
-			p.isSharer = true
-			ln.NonEvict = true
-		}
-		l.sendRequest(p, t)
-	})
+	r := l.nackFree.get()
+	*r = nackRetry{l: l, line: m.Line, gen: p.gen}
+	l.env.AfterRunner(delay, r)
+}
+
+// nackRetry is the backoff timer of a NACKed request: the line and the
+// pending entry's generation stamp, nothing else.
+type nackRetry struct {
+	l    *L1Ctrl
+	line addrspace.Line
+	gen  uint64
+}
+
+// Run implements engine.Runner.
+func (r *nackRetry) Run(now uint64) {
+	l, line, gen := r.l, r.line, r.gen
+	l.nackFree.put(r)
+	// Stamps are unique per controller, so the check rejects a recycled
+	// entry that landed on the same line again.
+	p, ok := l.pending.get(line)
+	if !ok || p.gen != gen {
+		return
+	}
+	if ln := l.data.Lookup(line); ln != nil && l.satisfies(ln, p) {
+		l.pending.del(line)
+		ln.NonEvict = false
+		l.requeue(append([]*MemRequest{p.req}, p.waiters...))
+		l.releasePending(p)
+		return
+	}
+	t := MsgGetS
+	if p.kind != pendLoad {
+		t = MsgGetX
+	}
+	p.isSharer = false
+	if ln := l.data.Lookup(line); ln != nil && ln.State == cache.Shared {
+		p.isSharer = true
+		ln.NonEvict = true
+	}
+	l.sendRequest(p, t)
 }
 
 // satisfies reports whether the resident line can serve the pending
@@ -1093,7 +1134,7 @@ func (l *L1Ctrl) handleInv(m *Msg) {
 			// Lookup never returns an Invalid line; nothing to drop.
 		}
 	}
-	l.env.SendWired(l.id, m.Src, PortHome, &Msg{Type: MsgInvAck, Line: m.Line, Src: l.id})
+	l.send(m.Src, PortHome, Msg{Type: MsgInvAck, Line: m.Line})
 }
 
 // ownerCopy fetches the line from the cache or the victim buffer for a
@@ -1122,11 +1163,11 @@ func (l *L1Ctrl) handleFwdGetS(m *Msg) {
 		ln.State = cache.Shared
 		ln.Dirty = false
 	}
-	l.env.SendWired(l.id, m.Requester, PortL1, &Msg{
-		Type: MsgDataOwnerS, Line: m.Line, Src: l.id, ReqID: m.ReqID, HasData: true, Words: words,
+	l.send(m.Requester, PortL1, Msg{
+		Type: MsgDataOwnerS, Line: m.Line, ReqID: m.ReqID, HasData: true, Words: words,
 	})
-	l.env.SendWired(l.id, m.Src, PortHome, &Msg{
-		Type: MsgCopyBack, Line: m.Line, Src: l.id, Requester: m.Requester,
+	l.send(m.Src, PortHome, Msg{
+		Type: MsgCopyBack, Line: m.Line, Requester: m.Requester,
 		HasData: true, NeedAck: dirty, Words: words,
 	})
 }
@@ -1141,23 +1182,23 @@ func (l *L1Ctrl) handleFwdGetX(m *Msg) {
 	if ln != nil {
 		l.data.Invalidate(m.Line)
 	}
-	l.env.SendWired(l.id, m.Requester, PortL1, &Msg{
-		Type: MsgDataOwnerM, Line: m.Line, Src: l.id, ReqID: m.ReqID, HasData: true, Words: words,
+	l.send(m.Requester, PortL1, Msg{
+		Type: MsgDataOwnerM, Line: m.Line, ReqID: m.ReqID, HasData: true, Words: words,
 	})
 }
 
 // handleRecall: home is evicting our owned line's directory entry.
 func (l *L1Ctrl) handleRecall(m *Msg) {
-	var resp *Msg
+	var resp Msg
 	if ln := l.data.Lookup(m.Line); ln != nil {
-		resp = &Msg{Type: MsgRecallAck, Line: m.Line, Src: l.id, HasData: ln.Dirty, Words: ln.Words}
+		resp = Msg{Type: MsgRecallAck, Line: m.Line, HasData: ln.Dirty, Words: ln.Words}
 		l.data.Invalidate(m.Line)
 	} else if v, ok := l.victims.get(m.Line); ok {
-		resp = &Msg{Type: MsgRecallAck, Line: m.Line, Src: l.id, HasData: v.dirty, Words: v.words}
+		resp = Msg{Type: MsgRecallAck, Line: m.Line, HasData: v.dirty, Words: v.words}
 	} else {
-		resp = &Msg{Type: MsgRecallAck, Line: m.Line, Src: l.id}
+		resp = Msg{Type: MsgRecallAck, Line: m.Line}
 	}
-	l.env.SendWired(l.id, m.Src, PortHome, resp)
+	l.send(m.Src, PortHome, resp)
 }
 
 // install places a granted line, evicting a victim first if needed.
@@ -1225,12 +1266,12 @@ func (l *L1Ctrl) evict(ln *cache.Line) {
 		l.fail(line, "evicting a line in state %v", ln.State)
 		return
 	}
-	msg := &Msg{Type: t, Line: line, Src: l.id, HasData: hasData}
+	msg := Msg{Type: t, Line: line, HasData: hasData}
 	if hasData {
 		msg.Words = ln.Words
 	}
 	l.data.Invalidate(line)
-	l.env.SendWired(l.id, home, PortHome, msg)
+	l.send(home, PortHome, msg)
 }
 
 // HandleWireless processes a broadcast delivered to this node's
@@ -1339,7 +1380,7 @@ func (l *L1Ctrl) handleRemoteUpdate(p WirUpd) {
 	}
 	l.Stats.SelfInvalidations.Inc()
 	l.data.Invalidate(p.Line)
-	l.env.SendWired(l.id, l.env.HomeOf(p.Line), PortHome, &Msg{Type: MsgPutW, Line: p.Line, Src: l.id})
+	l.send(l.env.HomeOf(p.Line), PortHome, Msg{Type: MsgPutW, Line: p.Line})
 }
 
 // cancelQueuedWrite pulls back a queued (never active — a broadcast
@@ -1382,7 +1423,7 @@ func (l *L1Ctrl) handleWirDwgr(p WirDwgr) {
 	}
 	ln.State = cache.Shared
 	ln.Dirty = false
-	l.env.SendWired(l.id, p.Home, PortHome, &Msg{Type: MsgWirDwgrAck, Line: p.Line, Src: l.id})
+	l.send(p.Home, PortHome, Msg{Type: MsgWirDwgrAck, Line: p.Line})
 }
 
 // handleWirInv drops the line because the home evicted its entry; a

@@ -111,6 +111,9 @@ func (t MsgType) String() string {
 	if int(t) < len(msgNames) && msgNames[t] != "" {
 		return msgNames[t]
 	}
+	if t == msgReleased {
+		return "released"
+	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
@@ -126,27 +129,29 @@ func (t MsgType) CarriesData() bool {
 	}
 }
 
-// Msg is one wired protocol message.
+// Msg is one wired protocol message. Word-sized fields come first and
+// the 1-byte fields last, so they share one padded word (104 bytes).
 type Msg struct {
-	Type      MsgType
 	Line      addrspace.Line
 	Src       int // sending node
 	Requester int // original requester for forwarded transactions
-	// Port is the sink the message is addressed to at the destination
-	// node. The machine stamps it at send time and dispatches on it at
-	// delivery, so a *Msg rides the mesh as the packet payload directly
-	// (a pointer in an interface) instead of inside a boxed envelope.
-	Port PortKind
 	// ReqID matches responses to the request they answer. Every request
 	// receives exactly one response (grant, NACK or WDiscard); a grant
 	// whose ReqID does not match the requester's current outstanding
 	// request answers an abandoned request and is applied idempotently
 	// without completing anything.
-	ReqID    uint64
+	ReqID uint64
+	Words [addrspace.WordsPerLine]uint64
+
+	Type MsgType
+	// Port is the sink the message is addressed to at the destination
+	// node. The machine stamps it at send time and dispatches on it at
+	// delivery, so a *Msg rides the mesh as the packet payload directly
+	// (a pointer in an interface) instead of inside a boxed envelope.
+	Port     PortKind
 	IsSharer bool
 	NeedAck  bool // WirUpgr: requester must reply WirUpgrAck (Table II W->W case 1)
 	HasData  bool
-	Words    [addrspace.WordsPerLine]uint64
 }
 
 // Bytes returns the packet payload size used for mesh flit accounting:

@@ -9,7 +9,10 @@ import "repro/internal/addrspace"
 // race on a shared global and a traced run needs no teardown. The
 // output format is unchanged (obs.LineLog reproduces the legacy
 // "[%8d] line %#x: ..." lines byte for byte), and both methods are
-// no-ops after one nil comparison when no log is configured.
+// no-ops after one nil comparison when no log is configured. Their
+// arguments are boxed at the call site even then, so hot-path calls
+// that pass a slice or a full-width value sit behind a `Log != nil`
+// guard to keep the untraced path allocation-free.
 func (l *L1Ctrl) tracef(now uint64, line addrspace.Line, format string, args ...any) {
 	l.cfg.Log.Printf(now, line, format, args...)
 }

@@ -202,7 +202,12 @@ type System struct {
 	memory      *coherence.MemoryImage
 	mcNodes     []int
 	mcFree      []uint64
+	mcReads     []*mcRead // recycled memory-read replies (see handleMC)
 	memAccesses stats.Counter
+
+	// msgs is the machine's one message free list, shared by every
+	// controller through coherence.MsgPooler.
+	msgs coherence.MsgPool
 
 	checker  *Checker
 	injector *fault.Injector
@@ -386,6 +391,10 @@ func (s *System) After(delay uint64, fn func(uint64)) { s.events.At(s.cycle+dela
 // AfterRunner schedules a pooled runner at Now()+delay.
 func (s *System) AfterRunner(delay uint64, r engine.Runner) { s.events.AtRunner(s.cycle+delay, r) }
 
+// MsgPool returns the machine's message free list
+// (coherence.MsgPooler).
+func (s *System) MsgPool() *coherence.MsgPool { return &s.msgs }
+
 // HomeOf maps a line to its home slice.
 func (s *System) HomeOf(l addrspace.Line) int { return s.space.HomeOf(l) }
 
@@ -432,7 +441,9 @@ func (s *System) deliverWireless(now uint64, msg wireless.Message) {
 }
 
 // handleMC models the off-chip memory: a service queue per controller
-// with the Table III round-trip latency.
+// with the Table III round-trip latency. The memory controller owns
+// the delivered message: a write is released at once, a read's own
+// message becomes its MemData reply.
 func (s *System) handleMC(now uint64, src int, m *coherence.Msg) {
 	mc := s.space.MCOf(m.Line)
 	s.memAccesses.Inc()
@@ -443,22 +454,45 @@ func (s *System) handleMC(now uint64, src int, m *coherence.Msg) {
 	s.mcFree[mc] = start + s.cfg.MemServiceInterval
 	switch m.Type {
 	case coherence.MsgMemRead:
-		line := m.Line
-		dst := m.Requester
-		s.events.At(start+s.cfg.MemLatency, func(at uint64) {
-			resp := &coherence.Msg{
-				Type: coherence.MsgMemData, Line: line, HasData: true,
-				Words: s.memory.ReadLine(line),
-			}
-			s.SendWired(s.mcNodes[mc], dst, coherence.PortHome, resp)
-		})
+		var r *mcRead
+		if n := len(s.mcReads); n > 0 {
+			r = s.mcReads[n-1]
+			s.mcReads = s.mcReads[:n-1]
+		} else {
+			r = &mcRead{s: s}
+		}
+		r.m, r.mc = m, mc
+		s.events.AtRunner(start+s.cfg.MemLatency, r)
 	case coherence.MsgMemWrite:
 		// Data already committed to the MemoryImage by the home (so a
 		// racing read can never see stale contents); the message models
 		// timing and bandwidth only.
+		s.msgs.Release(m)
 	default:
 		panic(fmt.Sprintf("machine: MC port received non-memory message %v", m.Type))
 	}
+}
+
+// mcRead is a memory read in service: at completion its request
+// message is rewritten in place into the MemData reply. The line is
+// read then, not at arrival, so writes committed meanwhile are seen.
+type mcRead struct {
+	s  *System
+	m  *coherence.Msg
+	mc int
+}
+
+// Run implements engine.Runner.
+func (r *mcRead) Run(uint64) {
+	s, m, mc := r.s, r.m, r.mc
+	r.m = nil
+	s.mcReads = append(s.mcReads, r)
+	line, dst := m.Line, m.Requester
+	*m = coherence.Msg{
+		Type: coherence.MsgMemData, Line: line, HasData: true,
+		Words: s.memory.ReadLine(line),
+	}
+	s.SendWired(s.mcNodes[mc], dst, coherence.PortHome, m)
 }
 
 // --- run loop ---

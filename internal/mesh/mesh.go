@@ -10,6 +10,7 @@ package mesh
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -65,7 +66,9 @@ type Mesh struct {
 	// indexed directionally: for each node, 4 outgoing links (E,W,N,S).
 	linkFree []uint64
 
-	inflight pktHeap
+	// inflight holds every packet by arrival cycle; Send stamps the
+	// arrival, so delivery is a calendar drain in (arrival, send) order.
+	inflight engine.Calendar[Packet]
 
 	// Trace receives one EvMeshLeg per routed packet; nil disables
 	// emission. (The flit-level mesh reports no per-leg events; the
@@ -182,7 +185,7 @@ func (m *Mesh) Send(now uint64, pkt Packet) {
 			A: uint64(hops), B: t})
 	}
 	m.TotalLat.Add(t - now)
-	m.inflight.push(inflightPkt{at: t, seq: m.Packets.Value(), pkt: pkt})
+	m.inflight.Push(t, pkt)
 }
 
 // Tick delivers every packet whose arrival cycle is <= now, returning
@@ -190,38 +193,37 @@ func (m *Mesh) Send(now uint64, pkt Packet) {
 // controllers run.
 func (m *Mesh) Tick(now uint64) int {
 	delivered := 0
-	for len(m.inflight) > 0 && m.inflight[0].at <= now {
-		ip := m.inflight.pop()
-		m.deliver(now, ip.pkt)
+	for {
+		pkt, ok := m.inflight.PopDue(now)
+		if !ok {
+			return delivered
+		}
+		m.deliver(now, pkt)
 		delivered++
 	}
-	return delivered
 }
 
 // Pending returns the number of packets still in flight.
 //
 //vet:pure
-func (m *Mesh) Pending() int { return len(m.inflight) }
+func (m *Mesh) Pending() int { return m.inflight.Len() }
 
 // NextArrival returns the earliest in-flight arrival cycle and whether
 // any packet is in flight; used by the machine to skip idle cycles.
-func (m *Mesh) NextArrival() (uint64, bool) {
-	if len(m.inflight) == 0 {
-		return 0, false
-	}
-	return m.inflight[0].at, true
-}
+func (m *Mesh) NextArrival() (uint64, bool) { return m.inflight.Next() }
 
 // NextEvent returns the earliest cycle > now at which Tick would
 // deliver a packet, or never if nothing is in flight. Arrival
-// reservations are computed at Send time, so the heap top is exact.
+// reservations are computed at Send time, so the calendar's earliest
+// arrival is exact.
 //
 //vet:pure
 func (m *Mesh) NextEvent(now uint64) uint64 {
-	if len(m.inflight) == 0 {
+	at, ok := m.inflight.Next()
+	if !ok {
 		return never
 	}
-	if at := m.inflight[0].at; at > now {
+	if at > now {
 		return at
 	}
 	return now + 1
@@ -235,61 +237,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-type inflightPkt struct {
-	at  uint64
-	seq uint64 // FIFO tie-break for determinism
-	pkt Packet
-}
-
-// pktHeap is a hand-rolled min-heap: container/heap's any-typed API
-// would box every injected packet, and Send is on the simulator's
-// hottest path. The backing array is reused across push/pop cycles.
-type pktHeap []inflightPkt
-
-func (h pktHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *pktHeap) push(p inflightPkt) {
-	*h = append(*h, p)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *pktHeap) pop() inflightPkt {
-	q := *h
-	it := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = inflightPkt{} // release the payload reference
-	*h = q[:n]
-	q = q[:n]
-	for i := 0; ; {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		min := left
-		if right := left + 1; right < n && q.less(right, left) {
-			min = right
-		}
-		if !q.less(min, i) {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return it
 }

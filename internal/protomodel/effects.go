@@ -188,8 +188,9 @@ func (w *walker) handleDecl(s *ast.DeclStmt, c *ctx) {
 }
 
 // walkExpr visits an expression for machine-relevant calls and walks
-// function literals (protocol continuations) under the current
-// context.
+// protocol continuations — function literals, and plain-data records
+// handed over as interface values (see walkRecords) — under the
+// current context.
 func (w *walker) walkExpr(e ast.Expr, c *ctx) {
 	if e == nil {
 		return
@@ -201,10 +202,44 @@ func (w *walker) walkExpr(e ast.Expr, c *ctx) {
 			w.walkStmts(n.Body.List, &cc, true)
 			return false
 		case *ast.CallExpr:
+			w.walkRecords(n, c)
 			w.handleCall(n, c)
 		}
 		return true
 	})
+}
+
+// walkRecords walks the continuation records a call hands over as
+// interface values. A pooled event record (an engine.Runner carrying
+// a message by value) is the plain-data form of a closure: when an
+// argument of a same-package type is passed for an interface
+// parameter, each interface method the record implements is walked
+// under the current context, exactly as a function literal would be.
+func (w *walker) walkRecords(call *ast.CallExpr, c *ctx) {
+	sig, _ := w.info().TypeOf(call.Fun).(*types.Signature)
+	if sig == nil {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		if i >= params.Len() {
+			return
+		}
+		iface, ok := params.At(i).Type().Underlying().(*types.Interface)
+		if !ok {
+			continue
+		}
+		at := w.info().TypeOf(arg)
+		if named := namedOf(at); named == nil || named.Obj().Pkg() != w.me.x.pkg.Types {
+			continue
+		}
+		for j := 0; j < iface.NumMethods(); j++ {
+			obj, _, _ := types.LookupFieldOrMethod(at, true, w.me.x.pkg.Types, iface.Method(j).Name())
+			if fi := w.me.x.funcs[obj]; fi != nil {
+				w.walkFunc(fi, *c, nil)
+			}
+		}
+	}
 }
 
 // handleCall classifies one call: entry deletion, cache invalidation,

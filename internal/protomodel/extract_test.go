@@ -46,7 +46,10 @@ func TestTableIISpotChecks(t *testing.T) {
 	checks := []struct {
 		machine, from, event, next, file string
 	}{
-		// Directory: read sharing and the S->W upgrade decision.
+		// Directory: read sharing and the S->W upgrade decision. The
+		// GetS/GetX rows are reachable only through the pooled
+		// homeRequest record the home schedules for the LLC latency,
+		// so they also pin walkRecords' continuation following.
 		{"dir", "DI", "GetS", "busy:fetch-mem", "internal/coherence/home.go"},
 		{"dir", "DS", "GetS", "busy:s-to-w", "internal/coherence/home.go"},
 		// W-state wireless path: the broadcast upgrade commits DW.
