@@ -24,9 +24,8 @@ import (
 const SchemaVersion = 1
 
 // entryFile is the manifest inside each entry directory. Result holds
-// the canonical result encoding verbatim (see EncodeResult); keeping
-// it as raw bytes means a cache read can return byte-identical output
-// without a re-encode round-trip.
+// the canonical result encoding verbatim (see EncodeResult), the same
+// bytes the farm streams.
 type entryFile struct {
 	Schema int             `json:"schema"`
 	ID     string          `json:"id"`
@@ -137,17 +136,6 @@ func (c *Cache) entryDir(k Key) string { return c.dirFor(k.Hash) }
 // is counted as Corrupt, evicted, and reported as a miss so the caller
 // falls back to re-simulation and the next Put heals the entry.
 func (c *Cache) Get(k Key) (*machine.Result, bool) {
-	res, _, ok := c.get(k)
-	return res, ok
-}
-
-// GetRaw is Get but also returns the canonical result encoding
-// verbatim as stored, for byte-identical responses.
-func (c *Cache) GetRaw(k Key) (*machine.Result, []byte, bool) {
-	return c.get(k)
-}
-
-func (c *Cache) get(k Key) (*machine.Result, []byte, bool) {
 	dir := c.entryDir(k)
 	data, err := os.ReadFile(filepath.Join(dir, "entry.json"))
 	if err != nil {
@@ -157,23 +145,23 @@ func (c *Cache) get(k Key) (*machine.Result, []byte, bool) {
 			c.evict(dir)
 		}
 		c.misses.Add(1)
-		return nil, nil, false
+		return nil, false
 	}
 	var e entryFile
 	if err := json.Unmarshal(data, &e); err != nil || e.Schema != SchemaVersion || len(e.Result) == 0 {
 		c.evict(dir)
 		c.misses.Add(1)
-		return nil, nil, false
+		return nil, false
 	}
 	var res machine.Result
 	if err := json.Unmarshal(e.Result, &res); err != nil {
 		c.evict(dir)
 		c.misses.Add(1)
-		return nil, nil, false
+		return nil, false
 	}
 	c.hits.Add(1)
 	c.touch(dir)
-	return &res, []byte(e.Result), true
+	return &res, true
 }
 
 // touch stamps the entry's last access (the mtime of entry.json) so

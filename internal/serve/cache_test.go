@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -70,11 +71,19 @@ func TestCacheRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, raw, ok := c2.GetRaw(key)
+	got, ok := c2.Get(key)
 	if !ok {
 		t.Fatal("entry lost across restart")
 	}
-	if !bytes.Equal(raw, wantRaw) {
+	entry, ok := c2.RawEntry(key.Hash)
+	if !ok {
+		t.Fatal("entry.json lost across restart")
+	}
+	var stored entryFile
+	if err := json.Unmarshal(entry, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored.Result, wantRaw) {
 		t.Fatal("stored raw encoding differs from the canonical encoding")
 	}
 	if !reflect.DeepEqual(got, res) {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/coherence"
 	"repro/internal/exp"
@@ -87,10 +88,29 @@ type Key struct {
 	Hash string `json:"hash"`
 }
 
-// KeyForRun derives the content-addressed cache key for a canonical
-// run. The config component is the normalized DefaultConfig for the
-// run's (cores, protocol) — exactly the machine exp.Runner.Sim builds.
+// runKeys memoizes KeyForRun: exp.RunKey -> Key. The key is a pure
+// function of the comparable RunKey, so a hit is exact; the memo grows
+// with the distinct runs the process has keyed.
+var runKeys sync.Map
+
+// KeyForRun returns the content-addressed cache key for a canonical
+// run, deriving it (deriveKey) the first time the process sees k.
 func KeyForRun(k exp.RunKey) (Key, error) {
+	if key, ok := runKeys.Load(k); ok {
+		return key.(Key), nil
+	}
+	key, err := deriveKey(k)
+	if err != nil {
+		return Key{}, err
+	}
+	runKeys.Store(k, key)
+	return key, nil
+}
+
+// deriveKey computes a run's key without the memo. The config
+// component is the normalized DefaultConfig for the run's (cores,
+// protocol) — exactly the machine exp.Runner.Sim builds.
+func deriveKey(k exp.RunKey) (Key, error) {
 	cfg := machine.DefaultConfig(k.Cores, k.Protocol)
 	confStr, err := cfg.CanonicalString()
 	if err != nil {

@@ -136,3 +136,35 @@ func TestRunSpecResolveRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyMemoMatchesDerivation: the memoized KeyForRun returns exactly
+// what the uncached derivation computes, on the first call (a memo
+// miss) and on every later one (a hit), for every Table IV application
+// under both protocols, both evaluation core counts and several seeds.
+func TestKeyMemoMatchesDerivation(t *testing.T) {
+	for _, app := range workload.Apps() {
+		for _, p := range []coherence.Protocol{coherence.Baseline, coherence.WiDir} {
+			for _, cores := range []int{16, 64} {
+				for _, seed := range []uint64{1, 2, 3, 1 << 40} {
+					k := exp.RunKey{Protocol: p, Cores: cores, App: app, Seed: seed}
+					want, err := deriveKey(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for call := 0; call < 2; call++ {
+						got, err := KeyForRun(k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("%s/%s/c%d/s%d call %d: KeyForRun = %+v, derivation = %+v", app.Name, p, cores, seed, call, got, want)
+						}
+					}
+					if _, ok := runKeys.Load(k); !ok {
+						t.Fatalf("%s/%s/c%d/s%d: KeyForRun did not memoize the key", app.Name, p, cores, seed)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"io/fs"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/exp"
+	"repro/internal/machine"
 	"repro/internal/xrand"
 )
 
@@ -67,6 +70,12 @@ type Server struct {
 	rng   *xrand.Source // Retry-After jitter
 
 	repaired sync.Map // hash -> struct{}: repair-once-per-process dedup
+
+	// results holds each run hash's canonical result encoding, made
+	// once per process (resultBytes): hash -> json.RawMessage. It sits
+	// next to the runner memo and grows with it; every run of a hash
+	// shares the one slice.
+	results sync.Map
 
 	jobSeq       atomic.Uint64
 	compSeq      atomic.Uint64 // global completion order (fairness witness)
@@ -231,7 +240,7 @@ type run struct {
 	seq    uint64 // global completion sequence number (1-based)
 	source string
 	errMsg string
-	result json.RawMessage // canonical result encoding
+	result json.RawMessage // canonical result encoding, shared (resultBytes)
 }
 
 // job is one accepted sweep submission.
@@ -260,15 +269,26 @@ func (j *job) snapshot() ([]int, bool) {
 	return order, len(j.order) == len(j.runs)
 }
 
-// waitMore blocks until the completion order grows past n or the job
-// finishes; it returns the fresh order copy.
-func (j *job) waitMore(n int) []int {
+// waitMore blocks until the completion order grows past n, the job
+// finishes or ctx ends; it returns the fresh order copy, or ctx's error.
+// Cancelling ctx broadcasts the cond, so a stream whose client went
+// away stops waiting at once instead of when the job next completes.
+func (j *job) waitMore(ctx context.Context, n int) ([]int, error) {
+	stop := context.AfterFunc(ctx, func() {
+		j.mu.Lock()
+		j.cond.Broadcast()
+		j.mu.Unlock()
+	})
+	defer stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for len(j.order) <= n && len(j.order) < len(j.runs) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		j.cond.Wait()
 	}
-	return append([]int(nil), j.order...)
+	return append([]int(nil), j.order...), nil
 }
 
 // ---------------------------------------------------------------------
@@ -317,7 +337,7 @@ func (s *Server) executePlain(r *run) error {
 	if err != nil {
 		return err
 	}
-	raw, err := EncodeResult(res)
+	raw, err := s.resultBytes(r.key.Hash, res)
 	if err != nil {
 		return err
 	}
@@ -326,13 +346,35 @@ func (s *Server) executePlain(r *run) error {
 	return nil
 }
 
+// resultBytes returns EncodeResult(res) for the run with the given
+// hash, encoding it only the first time the process sees the hash.
+// Every later caller gets the same capacity-clipped slice, so an append
+// by any holder copies instead of writing into the shared array. The
+// bytes come from json.Marshal: compact and HTML-escaped, which is what
+// lets writeLine splice them into a stream line verbatim.
+func (s *Server) resultBytes(hash string, res *machine.Result) (json.RawMessage, error) {
+	if raw, ok := s.results.Load(hash); ok {
+		return raw.(json.RawMessage), nil
+	}
+	raw, err := EncodeResult(res)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := s.results.LoadOrStore(hash, json.RawMessage(slices.Clip(raw)))
+	return shared.(json.RawMessage), nil
+}
+
 // executeTraced serves an artifact run. The disk entry satisfies it
 // only if it already carries trace artifacts; otherwise the run is
 // re-simulated with the obs subsystem attached (outside the runner —
 // tracing changes nothing about the result, but the event log is not
 // memoizable) and the full artifact set replaces the plain entry.
 func (s *Server) executeTraced(r *run) error {
-	if _, raw, ok := s.cache.GetRaw(r.key); ok && s.cache.HasArtifacts(r.key) {
+	if res, ok := s.cache.Get(r.key); ok && s.cache.HasArtifacts(r.key) {
+		raw, err := s.resultBytes(r.key.Hash, res)
+		if err != nil {
+			return err
+		}
 		r.source = "cache"
 		r.result = raw
 		return nil
@@ -355,7 +397,7 @@ func (s *Server) executeTraced(r *run) error {
 	if err := s.cache.Put(r.key, tr.Result, arts); err != nil {
 		return err
 	}
-	raw, err := EncodeResult(tr.Result)
+	raw, err := s.resultBytes(r.key.Hash, tr.Result)
 	if err != nil {
 		return err
 	}
@@ -649,9 +691,10 @@ func (s *Server) handleJob(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleStream writes one JSON line per completed run, in completion
-// order, flushing after each so a watching client sees results as the
-// farm produces them. The stream ends when the job does; connecting to
-// a finished job replays every completion immediately.
+// order, flushing after each batch of ready lines so a watching client
+// sees results as the farm produces them. The stream ends when the job
+// does, or when the client goes away; connecting to a finished job
+// replays every completion immediately.
 func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 	j := s.lookupJob(req.PathValue("id"))
 	if j == nil {
@@ -660,30 +703,69 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	lw := newLineWriter()
 	sent := 0
 	order, _ := j.snapshot()
 	for {
-		for sent < len(order) {
-			r := j.runs[order[sent]]
-			if err := enc.Encode(runStatus(r, true, true)); err != nil {
+		for ; sent < len(order); sent++ {
+			if err := lw.writeLine(w, runStatus(j.runs[order[sent]], true, true)); err != nil {
 				return // client went away
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			sent++
+		}
+		if flusher != nil {
+			flusher.Flush()
 		}
 		if sent == len(j.runs) {
 			return
 		}
-		select {
-		case <-req.Context().Done():
+		var err error
+		if order, err = j.waitMore(req.Context(), sent); err != nil {
 			return
-		default:
 		}
-		order = j.waitMore(sent)
 	}
+}
+
+// lineWriter writes stream lines without re-encoding results: only the
+// small RunStatus header goes through encoding/json, and the stored
+// result bytes are spliced in before its closing brace.
+type lineWriter struct {
+	head bytes.Buffer
+	enc  *json.Encoder
+}
+
+func newLineWriter() *lineWriter {
+	lw := &lineWriter{}
+	lw.enc = json.NewEncoder(&lw.head)
+	return lw
+}
+
+// writeLine writes exactly the bytes json.NewEncoder(w).Encode(st)
+// would. Result is RunStatus's last field, and the encoder would embed
+// it compacted and HTML-escaped — which it already is, since it comes
+// from json.Marshal (resultBytes) — so the header with Result omitted,
+// minus its closing "}\n", then `,"result":`, the bytes and "}\n" is
+// the same line.
+func (lw *lineWriter) writeLine(w io.Writer, st RunStatus) error {
+	result := st.Result
+	st.Result = nil
+	lw.head.Reset()
+	if err := lw.enc.Encode(st); err != nil {
+		return err
+	}
+	if len(result) == 0 {
+		_, err := w.Write(lw.head.Bytes())
+		return err
+	}
+	lw.head.Truncate(lw.head.Len() - len("}\n"))
+	lw.head.WriteString(`,"result":`)
+	if _, err := w.Write(lw.head.Bytes()); err != nil {
+		return err
+	}
+	if _, err := w.Write(result); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "}\n")
+	return err
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, req *http.Request) {
