@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint model mcheck vet-model repro bench bench-json bench-gate serve-smoke serve-cluster-smoke clean-cache check
+.PHONY: build test race vet lint model mcheck vet-model repro bench bench-json bench-gate serve-smoke clean-cache check
 
 build:
 	$(GO) build ./...
@@ -16,11 +16,11 @@ test:
 # The experiment runner fans simulations across goroutines, the
 # machine package owns the results it publishes through it, the mesh,
 # wireless and fault packages carry the shared state those parallel
-# runs tick, the serve farm layers HTTP workers on top, and the
-# cluster/client layers hedge requests across peers; these are the
-# packages where a data race could hide.
+# runs tick, and the serve farm layers HTTP workers on top (its
+# client drives it from tests); these are the packages where a data
+# race could hide.
 race:
-	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./internal/serve/ ./internal/cluster/ ./cmd/widir-client/ ./cmd/widir-serve/
+	$(GO) test -race ./internal/exp/ ./internal/machine/ ./internal/mesh/ ./internal/wireless/ ./internal/fault/ ./internal/serve/ ./cmd/widir-client/ ./cmd/widir-serve/
 
 vet:
 	$(GO) vet ./...
@@ -90,24 +90,19 @@ bench-gate:
 	    | $(GO) run ./cmd/widir-bench -date $(BENCH_DATE) -out bench-current.json \
 	          -compare $(BENCH_BASELINE)
 
-# Simulation-farm self-test (DESIGN.md §16): boot widir-serve against
-# a throwaway cache dir, run a tiny sweep, restart over the same dir,
-# and verify the repeat sweep is served entirely from the disk cache
-# (zero re-simulations) with byte-identical results.
+# Simulation-farm self-test (DESIGN.md §16-17): boot widir-serve
+# against a throwaway cache dir, run a tiny sweep, restart over the
+# same dir, and verify the repeat sweep is served entirely from the
+# disk cache (zero re-simulations) with byte-identical results. Then
+# run widir-serve as a subprocess, SIGKILL it mid-sweep, restart it
+# over the same dir, and require the queue journal to finish the job
+# under its original id with no accepted run lost: a rerun simulates
+# nothing and is byte-identical.
 serve-smoke:
 	$(GO) run ./cmd/widir-serve -smoke
-
-# Multi-node fault-tolerance self-test (DESIGN.md §17): boot a 3-node
-# cluster as real subprocesses, run a sweep, SIGKILL one node mid-sweep,
-# restart it over the same cache dir, and require (a) the queue journal
-# to replay the accepted runs so the job completes under its original
-# id, and (b) reruns of both sweeps to finish with ZERO new simulations
-# anywhere in the cluster, byte-identical to the first pass.
-serve-cluster-smoke:
-	$(GO) run ./cmd/widir-serve -cluster-smoke
 
 # Drop the local farm cache (widir-serve's default -cache location).
 clean-cache:
 	rm -rf widir-cache
 
-check: build vet lint model vet-model mcheck test race serve-smoke serve-cluster-smoke
+check: build vet lint model vet-model mcheck test race serve-smoke

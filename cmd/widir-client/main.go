@@ -1,24 +1,21 @@
-// Command widir-client drives a sweep against one or more widir-serve
-// farm nodes and renders the results as a CSV. It is the retrying,
-// resumable counterpart to the farm's availability guarantees:
+// Command widir-client drives a sweep against a widir-serve farm and
+// renders the results as a CSV. It is the retrying, resumable
+// counterpart to the farm's availability guarantees:
 //
 //   - every completed run is appended to a progress file (JSONL) the
 //     moment it arrives, so a killed or disconnected client rerun picks
 //     up where it left off instead of re-streaming a finished sweep;
-//   - runs the cluster has already computed are pulled directly from
-//     the replicated entry store with hedged reads — the same GET goes
-//     to a second replica after a short hedge delay, and the first
-//     valid answer wins — without submitting a job at all;
+//   - runs the farm has already computed cost nothing extra: the sweep
+//     is submitted whole and the farm serves cached runs from disk;
 //   - submission honors the farm's backpressure: a 429/503 with
 //     Retry-After is retried with jittered exponential backoff whose
-//     floor is the server's advice, rotating across servers, so a
-//     fleet of clients drains an overloaded farm instead of stampeding
-//     it.
+//     floor is the server's advice, so a fleet of clients drains an
+//     overloaded farm instead of stampeding it.
 //
 // Usage:
 //
-//	widir-client -spec sweep.json                                # one local node, CSV to stdout
-//	widir-client -spec sweep.json -servers http://a:8344,http://b:8344 -o results.csv
+//	widir-client -spec sweep.json                                  # local farm, CSV to stdout
+//	widir-client -spec sweep.json -server http://farm:8344 -o results.csv
 //
 // The spec file is a serve.SweepRequest JSON document:
 //
@@ -29,7 +26,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -41,20 +37,19 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/serve"
+	"repro/internal/xrand"
 )
 
 func main() {
 	var (
 		specPath = flag.String("spec", "", "sweep spec file (serve.SweepRequest JSON; required)")
-		servers  = flag.String("servers", "http://127.0.0.1:8344", "comma-separated farm node base URLs")
+		server   = flag.String("server", "http://127.0.0.1:8344", "farm base URL")
 		outPath  = flag.String("o", "-", "output CSV path (- for stdout)")
 		state    = flag.String("state", "", "progress file (JSONL; default <spec>.state.jsonl)")
-		hedge    = flag.Duration("hedge", 75*time.Millisecond, "hedged-read delay before asking the next replica")
-		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout (submit, entry reads, status)")
+		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout (submit)")
 		attempts = flag.Int("attempts", 8, "max submit/stream attempts before giving up")
 		verbose  = flag.Bool("v", false, "log progress to stderr")
 	)
@@ -66,10 +61,9 @@ func main() {
 	}
 	opts := options{
 		specPath:  *specPath,
-		servers:   splitServers(*servers),
+		server:    strings.TrimRight(strings.TrimSpace(*server), "/"),
 		outPath:   *outPath,
 		statePath: *state,
-		hedge:     *hedge,
 		timeout:   *timeout,
 		attempts:  *attempts,
 		logf:      func(string, ...any) {},
@@ -85,23 +79,11 @@ func main() {
 	}
 }
 
-func splitServers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 type options struct {
 	specPath  string
-	servers   []string
+	server    string
 	outPath   string
 	statePath string
-	hedge     time.Duration
 	timeout   time.Duration
 	attempts  int
 	logf      func(format string, args ...any)
@@ -125,8 +107,8 @@ type stateLine struct {
 }
 
 func run(opts options) error {
-	if len(opts.servers) == 0 {
-		return errors.New("no servers")
+	if opts.server == "" {
+		return errors.New("no server")
 	}
 	if opts.attempts <= 0 {
 		opts.attempts = 1
@@ -172,37 +154,21 @@ func run(opts options) error {
 		return nil
 	}
 
-	api := &http.Client{Timeout: opts.timeout}
-	bo := cluster.NewBackoff(500*time.Millisecond, 15*time.Second,
-		uint64(os.Getpid())*2654435761+uint64(time.Now().UnixNano()))
-
-	// Phase 1: hedged entry reads for everything the cluster may
-	// already hold. No job, no queue slot, no Retry-After dance.
-	missing := 0
-	for _, ref := range refs {
-		if _, ok := have[ref.key.Hash]; ok {
-			continue
-		}
-		if body, server, ok := hedgedEntry(api, opts.servers, ref.key.Hash, opts.hedge); ok {
-			res, err := serve.EntryResult(body)
-			if err == nil {
-				opts.logf("entry %s from %s", ref.key.ID, server)
-				if err := record(stateLine{Hash: ref.key.Hash, ID: ref.key.ID, Source: "entry", Result: res}); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		missing++
-	}
-
-	// Phase 2: anything still missing needs the farm to work. Submit
-	// the whole sweep — runs already cached are free for the server and
+	// Anything not in the progress file needs the farm. Submit the
+	// whole sweep — runs already cached are free for the server and
 	// keep the job's run indexing identical to the spec — and stream,
 	// recording as results land so a dropped connection resumes.
+	missing := 0
+	for _, ref := range refs {
+		if _, ok := have[ref.key.Hash]; !ok {
+			missing++
+		}
+	}
 	if missing > 0 {
 		opts.logf("%d runs need the farm", missing)
-		if err := submitAndStream(opts, api, bo, sweep, refs, have, record); err != nil {
+		bo := newBackoff(500*time.Millisecond, 15*time.Second,
+			uint64(os.Getpid())*2654435761+uint64(time.Now().UnixNano()))
+		if err := submitAndStream(opts, bo, sweep, refs, have, record); err != nil {
 			return err
 		}
 	}
@@ -296,74 +262,16 @@ func loadState(path string) (map[string]stateLine, error) {
 	return have, sc.Err()
 }
 
-// hedgedEntry fetches a run's cache entry with hedged reads: the GET
-// goes to the first server immediately and to each further server
-// after an additional hedge delay; the first valid body wins and the
-// stragglers are cancelled. A slow or dead replica costs one hedge
-// interval, not a timeout.
-func hedgedEntry(hc *http.Client, servers []string, hash string, hedge time.Duration) (body []byte, server string, ok bool) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	type answer struct {
-		body   []byte
-		server string
-	}
-	results := make(chan answer, len(servers))
-	for i, s := range servers {
-		go func(delay time.Duration, server string) {
-			if delay > 0 {
-				t := time.NewTimer(delay)
-				defer t.Stop()
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					results <- answer{}
-					return
-				}
-			}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-				server+"/api/v1/runs/"+hash+"/entry", nil)
-			if err != nil {
-				results <- answer{}
-				return
-			}
-			resp, err := hc.Do(req)
-			if err != nil {
-				results <- answer{}
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-				results <- answer{}
-				return
-			}
-			data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			if err != nil || serve.ValidateEntry(hash, data) != nil {
-				results <- answer{}
-				return
-			}
-			results <- answer{body: data, server: server}
-		}(time.Duration(i)*hedge, s)
-	}
-	for range servers {
-		if a := <-results; a.body != nil {
-			return a.body, a.server, true
-		}
-	}
-	return nil, "", false
-}
-
 // submitAndStream submits the sweep with backoff and streams results,
 // reconnecting and resuming (by hash) on a dropped stream.
-func submitAndStream(opts options, api *http.Client, bo *cluster.Backoff, sweep serve.SweepRequest,
+func submitAndStream(opts options, bo *backoff, sweep serve.SweepRequest,
 	refs []runRef, have map[string]stateLine, record func(stateLine) error) error {
 
-	server, jobID, err := submitWithBackoff(opts, api, bo, sweep)
+	jobID, err := submitWithBackoff(opts, bo, sweep)
 	if err != nil {
 		return err
 	}
-	opts.logf("job %s on %s", jobID, server)
+	opts.logf("job %s on %s", jobID, opts.server)
 
 	// The stream is long-lived: no client timeout (the server flushes a
 	// line per completion; a stall is handled by reconnecting).
@@ -382,7 +290,7 @@ func submitAndStream(opts options, api *http.Client, bo *cluster.Backoff, sweep 
 		return true
 	}
 	for attempt := 0; attempt < opts.attempts; attempt++ {
-		err := readStream(streamClient, server, jobID, have, failed, record)
+		err := readStream(streamClient, opts.server, jobID, failed, record)
 		if err == nil && complete() {
 			break
 		}
@@ -392,7 +300,7 @@ func submitAndStream(opts options, api *http.Client, bo *cluster.Backoff, sweep 
 			}
 			return fmt.Errorf("stream %s ended with runs still missing", jobID)
 		}
-		delay := bo.Delay(attempt, 0)
+		delay := bo.delay(attempt, 0)
 		opts.logf("stream interrupted (%v); resuming in %v", err, delay)
 		time.Sleep(delay)
 	}
@@ -406,21 +314,21 @@ func submitAndStream(opts options, api *http.Client, bo *cluster.Backoff, sweep 
 }
 
 // submitWithBackoff posts the sweep, honoring 429/503 Retry-After with
-// jittered exponential backoff and rotating across servers on network
-// errors, until a node accepts it.
-func submitWithBackoff(opts options, api *http.Client, bo *cluster.Backoff, sweep serve.SweepRequest) (server, jobID string, err error) {
+// jittered exponential backoff and retrying network errors, until the
+// farm accepts it.
+func submitWithBackoff(opts options, bo *backoff, sweep serve.SweepRequest) (jobID string, err error) {
 	body, err := json.Marshal(sweep)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
+	api := &http.Client{Timeout: opts.timeout}
 	var lastErr error
 	for attempt := 0; attempt < opts.attempts; attempt++ {
-		server = opts.servers[attempt%len(opts.servers)]
-		resp, err := api.Post(server+"/api/v1/sweeps", "application/json", bytes.NewReader(body))
+		resp, err := api.Post(opts.server+"/api/v1/sweeps", "application/json", bytes.NewReader(body))
 		if err != nil {
 			lastErr = err
-			delay := bo.Delay(attempt, 0)
-			opts.logf("submit to %s: %v; retrying in %v", server, err, delay)
+			delay := bo.delay(attempt, 0)
+			opts.logf("submit: %v; retrying in %v", err, delay)
 			time.Sleep(delay)
 			continue
 		}
@@ -432,9 +340,9 @@ func submitWithBackoff(opts options, api *http.Client, bo *cluster.Backoff, swee
 			err := json.NewDecoder(resp.Body).Decode(&accepted)
 			resp.Body.Close()
 			if err != nil {
-				return "", "", err
+				return "", err
 			}
-			return server, accepted.Job, nil
+			return accepted.Job, nil
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			retryAfter := 0
 			if v, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
@@ -442,23 +350,23 @@ func submitWithBackoff(opts options, api *http.Client, bo *cluster.Backoff, swee
 			}
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 			resp.Body.Close()
-			delay := bo.Delay(attempt, time.Duration(retryAfter)*time.Second)
-			lastErr = fmt.Errorf("%s: %s", server, resp.Status)
+			delay := bo.delay(attempt, time.Duration(retryAfter)*time.Second)
+			lastErr = errors.New(resp.Status)
 			opts.logf("farm busy (%s, Retry-After %ds); backing off %v", resp.Status, retryAfter, delay)
 			time.Sleep(delay)
 		default:
 			data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 			resp.Body.Close()
-			return "", "", fmt.Errorf("submit to %s: %s: %s", server, resp.Status, strings.TrimSpace(string(data)))
+			return "", fmt.Errorf("submit: %s: %s", resp.Status, strings.TrimSpace(string(data)))
 		}
 	}
-	return "", "", fmt.Errorf("submit failed after %d attempts: %w", opts.attempts, lastErr)
+	return "", fmt.Errorf("submit failed after %d attempts: %w", opts.attempts, lastErr)
 }
 
 // readStream consumes one connection's worth of the job stream,
 // recording completions (deduplicated by hash, so a reconnect that
 // replays the whole stream is harmless).
-func readStream(hc *http.Client, server, jobID string, have map[string]stateLine,
+func readStream(hc *http.Client, server, jobID string,
 	failed map[string]string, record func(stateLine) error) error {
 
 	resp, err := hc.Get(server + "/api/v1/jobs/" + jobID + "/stream")
@@ -486,4 +394,38 @@ func readStream(hc *http.Client, server, jobID string, have map[string]stateLine
 		}
 	}
 	return sc.Err()
+}
+
+// backoff computes jittered exponential retry delays. The shape is
+// "full jitter": attempt k draws uniformly from (0, min(max, base<<k)],
+// so a thousand clients rejected by the same 429 spread their retries
+// across the whole window instead of stampeding back in lockstep. When
+// the server names a Retry-After, that value is the floor — the jitter
+// only ever adds to it. The jitter stream is an explicit xrand source
+// (never the global math/rand state), so tests can pin it with a seed.
+type backoff struct {
+	base, max time.Duration
+	rng       *xrand.Source
+}
+
+func newBackoff(base, max time.Duration, seed uint64) *backoff {
+	return &backoff{base: base, max: max, rng: xrand.New(seed)}
+}
+
+// delay returns the wait before retry number attempt (0-based).
+// retryAfter carries the server's Retry-After when one was given; zero
+// means none.
+func (b *backoff) delay(attempt int, retryAfter time.Duration) time.Duration {
+	ceil := b.base << uint(attempt)
+	if ceil > b.max || ceil <= 0 { // <<= overflow guard
+		ceil = b.max
+	}
+	d := time.Duration(b.rng.Int63() % int64(ceil))
+	if d <= 0 {
+		d = time.Millisecond
+	}
+	if retryAfter > 0 {
+		d += retryAfter
+	}
+	return d
 }

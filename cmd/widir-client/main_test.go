@@ -54,14 +54,13 @@ func writeSpec(t *testing.T, dir string) string {
 	return path
 }
 
-func clientOpts(t *testing.T, dir, specPath string, servers ...string) options {
+func clientOpts(t *testing.T, dir, specPath, server string) options {
 	t.Helper()
 	return options{
 		specPath:  specPath,
-		servers:   servers,
+		server:    server,
 		outPath:   filepath.Join(dir, "out.csv"),
 		statePath: filepath.Join(dir, "state.jsonl"),
-		hedge:     20 * time.Millisecond,
 		timeout:   10 * time.Second,
 		attempts:  8,
 		logf:      t.Logf,
@@ -84,8 +83,8 @@ func readCSV(t *testing.T, path string) []string {
 // TestClientSweepAndResume drives the full client path: a fresh sweep
 // submits a job and renders the CSV; a rerun with the progress file
 // intact touches the farm for nothing; a rerun with the progress file
-// deleted recovers everything through hedged entry reads — still
-// without submitting a job — and renders the identical CSV.
+// deleted resubmits the sweep, which the farm serves from its cache
+// without simulating, and renders the identical CSV.
 func TestClientSweepAndResume(t *testing.T) {
 	s, ts := testFarm(t)
 	dir := t.TempDir()
@@ -111,28 +110,28 @@ func TestClientSweepAndResume(t *testing.T) {
 		t.Fatalf("state-resumed rerun created a job (total %d)", jobs)
 	}
 
-	// Rerun after losing the progress file: the cluster's entry store
-	// has every run, so hedged reads rebuild it — no job either.
+	// Rerun after losing the progress file: the farm has every run, so
+	// the resubmitted job is served without simulating.
 	if err := os.Remove(opts.statePath); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
-	if jobs := s.Stats().Jobs; jobs != 1 {
-		t.Fatalf("entry-read rerun created a job (total %d)", jobs)
+	if jobs := s.Stats().Jobs; jobs != 2 {
+		t.Fatalf("rebuild rerun: %d jobs in total, want 2", jobs)
 	}
 	second := readCSV(t, opts.outPath)
 	if strings.Join(first, "\n") != strings.Join(second, "\n") {
-		t.Fatalf("entry-read CSV differs:\n%v\nvs\n%v", first, second)
+		t.Fatalf("rebuilt CSV differs:\n%v\nvs\n%v", first, second)
 	}
-	// The rebuilt state lines carry entry provenance.
+	// The rebuilt state lines carry the farm's memo provenance.
 	state, err := os.ReadFile(opts.statePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(state), `"source":"entry"`) {
-		t.Fatal("rebuilt progress file has no entry-sourced line")
+	if strings.Contains(string(state), `"source":"sim"`) {
+		t.Fatal("rebuilt progress file has a freshly simulated run")
 	}
 	if n := s.Runner().Stats().Sims; n != 4 {
 		t.Fatalf("farm simulated %d times across three client runs, want 4", n)
@@ -180,34 +179,30 @@ func TestClientBackoffHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestClientHedgedReadsSkipDeadServer: with the first server dead, the
-// hedge to the second replica still recovers every cached entry and no
-// job is submitted anywhere.
-func TestClientHedgedReadsSkipDeadServer(t *testing.T) {
-	s, ts := testFarm(t)
-	dir := t.TempDir()
-	specPath := writeSpec(t, dir)
-
-	// Warm the farm with a first sweep.
-	warm := clientOpts(t, dir, specPath, ts.URL)
-	if err := run(warm); err != nil {
-		t.Fatal(err)
+// TestBackoffBoundsAndRetryAfter: delays stay inside (0, max] per
+// attempt ceiling, grow with the attempt number, honor Retry-After as
+// a floor, and actually jitter.
+func TestBackoffBoundsAndRetryAfter(t *testing.T) {
+	b := newBackoff(100*time.Millisecond, time.Second, 1)
+	seen := map[time.Duration]bool{}
+	for attempt := 0; attempt < 20; attempt++ {
+		ceil := 100 * time.Millisecond << uint(attempt)
+		if ceil > time.Second || ceil <= 0 {
+			ceil = time.Second
+		}
+		for i := 0; i < 50; i++ {
+			d := b.delay(attempt, 0)
+			if d <= 0 || d > ceil {
+				t.Fatalf("attempt %d: delay %v outside (0, %v]", attempt, d, ceil)
+			}
+			seen[d] = true
+		}
 	}
-	jobsBefore := s.Stats().Jobs
-
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-
-	dir2 := t.TempDir()
-	opts := clientOpts(t, dir2, specPath, deadURL, ts.URL)
-	if err := run(opts); err != nil {
-		t.Fatal(err)
+	if len(seen) < 100 {
+		t.Fatalf("only %d distinct delays over 1000 draws: jitter is not jittering", len(seen))
 	}
-	if jobs := s.Stats().Jobs; jobs != jobsBefore {
-		t.Fatalf("hedged rerun created a job (%d -> %d)", jobsBefore, jobs)
-	}
-	if lines := readCSV(t, opts.outPath); len(lines) != 5 {
-		t.Fatalf("CSV has %d lines, want 5", len(lines))
+	ra := 7 * time.Second
+	if d := b.delay(0, ra); d < ra || d > ra+100*time.Millisecond {
+		t.Fatalf("Retry-After 7s produced delay %v; want [7s, 7.1s]", d)
 	}
 }

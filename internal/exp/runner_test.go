@@ -268,48 +268,3 @@ func TestRunnerCacheHook(t *testing.T) {
 		t.Fatalf("restarted runner stats = %v, want 0 sims / 1 cache hit", st)
 	}
 }
-
-// peerCache wraps memCache as a SourcedResultCache whose hits claim to
-// come from a peer farm node.
-type peerCache struct{ *memCache }
-
-func (c peerCache) GetSource(k RunKey) (*machine.Result, Source, bool) {
-	res, ok := c.Get(k)
-	return res, SourcePeer, ok
-}
-
-// TestRunnerPeerSource: a SourcedResultCache hit surfaces as
-// SourcePeer with the peer-hit counter (not cache-hits) incremented —
-// the provenance the multi-node farm reports per run.
-func TestRunnerPeerSource(t *testing.T) {
-	app, _ := workload.ByName("radiosity")
-	app = app.Scale(0.05)
-	cache := newMemCache()
-
-	r1 := NewRunner(1)
-	r1.SetCache(cache)
-	orig, _, err := r1.SimSource(coherence.WiDir, 16, app, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := NewRunner(1)
-	r2.SetCache(peerCache{cache})
-	res, src, err := r2.SimSource(coherence.WiDir, 16, app, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != SourcePeer {
-		t.Fatalf("source = %v, want peer", src)
-	}
-	if src.String() != "peer" {
-		t.Fatalf("SourcePeer.String() = %q", src.String())
-	}
-	if !reflect.DeepEqual(res, orig) {
-		t.Fatal("peer-fetched result differs from the original simulation")
-	}
-	st := r2.Stats()
-	if st.Sims != 0 || st.PeerHits != 1 || st.CacheHits != 0 {
-		t.Fatalf("stats = %v, want 0 sims / 1 peer hit / 0 cache hits", st)
-	}
-}

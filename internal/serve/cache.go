@@ -147,21 +147,15 @@ func (c *Cache) Get(k Key) (*machine.Result, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	var e entryFile
-	if err := json.Unmarshal(data, &e); err != nil || e.Schema != SchemaVersion || len(e.Result) == 0 {
-		c.evict(dir)
-		c.misses.Add(1)
-		return nil, false
-	}
-	var res machine.Result
-	if err := json.Unmarshal(e.Result, &res); err != nil {
+	res, err := decodeEntry(data)
+	if err != nil {
 		c.evict(dir)
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
 	c.touch(dir)
-	return &res, true
+	return res, true
 }
 
 // touch stamps the entry's last access (the mtime of entry.json) so
@@ -276,10 +270,9 @@ func writeFileSync(path string, data []byte) error {
 }
 
 // decodeEntry validates raw entry.json bytes — schema, manifest shape,
-// and that the embedded result decodes — returning the result. It is
-// the gate both for entries fetched from peers and for entries pushed
-// at us by replication repair: garbage from the network must never
-// reach disk or a client.
+// and that the embedded result decodes — returning the result. Every
+// read of an entry goes through it, so a corrupt entry never reaches a
+// client.
 func decodeEntry(data []byte) (*machine.Result, error) {
 	var e entryFile
 	if err := json.Unmarshal(data, &e); err != nil {
@@ -298,31 +291,10 @@ func decodeEntry(data []byte) (*machine.Result, error) {
 	return &res, nil
 }
 
-// EntryResult validates raw entry.json bytes and returns the embedded
-// canonical result encoding verbatim — the client-side decode of the
-// GET /api/v1/runs/{hash}/entry protocol.
-func EntryResult(data []byte) (json.RawMessage, error) {
-	if _, err := decodeEntry(data); err != nil {
-		return nil, err
-	}
-	var e entryFile
-	json.Unmarshal(data, &e) // cannot fail: decodeEntry just did it
-	return e.Result, nil
-}
-
-// ValidateEntry checks that body is a well-formed cache entry for the
-// peer-fetch protocol (hash names the run; the body cannot prove the
-// binding — peers are trusted for that — but malformed bodies are
-// rejected before they touch disk).
-func ValidateEntry(hash string, body []byte) error {
-	_, err := decodeEntry(body)
-	return err
-}
-
 // RawEntry returns the verbatim entry.json bytes for a run hash — the
-// body of the inter-node GET /api/v1/runs/{hash}/entry protocol. The
-// bytes are validated before they are served; a corrupt entry is
-// evicted and reported as missing, exactly as in get().
+// body of GET /api/v1/runs/{hash}/entry. The bytes are validated before
+// they are served; a corrupt entry is evicted and reported as missing,
+// exactly as in Get.
 func (c *Cache) RawEntry(hash string) ([]byte, bool) {
 	dir := c.dirFor(hash)
 	data, err := os.ReadFile(filepath.Join(dir, "entry.json"))
@@ -335,23 +307,6 @@ func (c *Cache) RawEntry(hash string) ([]byte, bool) {
 	}
 	c.touch(dir)
 	return data, true
-}
-
-// PutRawEntry stores verbatim entry.json bytes under hash — the write
-// side of the peer protocol (peer fetch landing locally, or a repair
-// push arriving). Byte-identity across the cluster follows: every
-// replica holds the same bytes the owner's simulation produced. An
-// already-present entry is left untouched (same content by content
-// addressing; skipping the write keeps repair pushes idempotent and
-// cheap).
-func (c *Cache) PutRawEntry(hash string, data []byte) error {
-	if _, err := decodeEntry(data); err != nil {
-		return err
-	}
-	if c.HasEntry(hash) {
-		return nil
-	}
-	return c.publish(hash, map[string][]byte{"entry.json": data})
 }
 
 // HasEntry reports whether a published entry exists for hash.
@@ -497,47 +452,20 @@ func EncodeResult(res *machine.Result) ([]byte, error) {
 	return json.Marshal(res)
 }
 
-// runnerCache adapts the server's cache tiers to exp.SourcedResultCache
-// so the runner's memo layer consults them on a memo miss and writes
-// back after each fresh simulation. The read chain is: local disk,
-// then — for keys this node does not own — the owning peers, then a
-// miss (the runner simulates locally as the degraded fallback, never
-// failing the request). Plain runs store result.csv alongside the
-// manifest so every cached run has at least one fetchable artifact.
+// runnerCache adapts the disk cache to exp.ResultCache so the runner's
+// memo layer consults it on a memo miss and writes back after each
+// fresh simulation. Plain runs store result.csv alongside the manifest
+// so every cached run has at least one fetchable artifact.
 type runnerCache struct {
-	s *Server
+	cache *Cache
 }
 
 func (rc runnerCache) Get(k exp.RunKey) (*machine.Result, bool) {
-	res, _, ok := rc.GetSource(k)
-	return res, ok
-}
-
-func (rc runnerCache) GetSource(k exp.RunKey) (*machine.Result, exp.Source, bool) {
 	key, err := KeyForRun(k)
 	if err != nil {
-		return nil, exp.SourceSim, false
+		return nil, false
 	}
-	s := rc.s
-	if res, ok := s.cache.Get(key); ok {
-		s.repair(key.Hash)
-		return res, exp.SourceCache, true
-	}
-	if s.fetcher != nil && !s.ring.Owns(key.Hash) {
-		if body, _, ok := s.fetcher.Fetch(key.Hash); ok {
-			if res, err := decodeEntry(body); err == nil {
-				// Keep the replica: the bytes are the owner's
-				// canonical encoding, so every later read here is
-				// byte-identical to the owner's.
-				s.cache.PutRawEntry(key.Hash, body)
-				return res, exp.SourcePeer, true
-			}
-		}
-		// Every owner is down, open-circuited, or cold: degrade to a
-		// local simulation rather than fail the run.
-		s.fallbackSims.Add(1)
-	}
-	return nil, exp.SourceSim, false
+	return rc.cache.Get(key)
 }
 
 func (rc runnerCache) Put(k exp.RunKey, res *machine.Result) {
@@ -546,8 +474,7 @@ func (rc runnerCache) Put(k exp.RunKey, res *machine.Result) {
 		return
 	}
 	// Best effort: a failed fill degrades to re-simulation later.
-	_ = rc.s.cache.Put(key, res, map[string][]byte{
+	_ = rc.cache.Put(key, res, map[string][]byte{
 		ArtifactCSV: resultCSV(k, res),
 	})
-	rc.s.repair(key.Hash)
 }

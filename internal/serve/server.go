@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/xrand"
@@ -28,19 +27,6 @@ type Config struct {
 	CacheDir string // content-addressed result cache root
 	Workers  int    // simulation workers (<=0: 1)
 	MaxQueue int    // max queued runs across all clients (<=0: 256)
-
-	// Cluster federation (DESIGN.md §17). Leaving Peers empty runs a
-	// classic single-node farm; with peers, run-key ownership is
-	// rendezvous-hashed across the set with replication factor
-	// Replicas, non-owned keys are peer-fetched before being simulated
-	// locally as a fallback, and locally produced entries are repaired
-	// onto their owners.
-	Self             string        // this node's base URL as peers reach it
-	Peers            []string      // full static peer set, including Self
-	Replicas         int           // replication factor R (<=0: 2)
-	PeerTimeout      time.Duration // per-peer-request timeout (<=0: 2s)
-	BreakerThreshold int           // consecutive peer failures to open (<=0: 3)
-	BreakerCooldown  time.Duration // open interval before a half-open probe (<=0: 5s)
 
 	// CacheMaxBytes bounds the disk cache; every fill triggers an LRU
 	// sweep that evicts least-recently-accessed entries past the
@@ -59,17 +45,11 @@ type Server struct {
 	sched  *scheduler
 	wal    *journal
 
-	// Cluster federation; both nil on a single-node farm.
-	ring    *cluster.Ring
-	fetcher *cluster.Fetcher
-
 	mu   sync.Mutex
 	jobs map[string]*job
 
 	rngMu sync.Mutex
 	rng   *xrand.Source // Retry-After jitter
-
-	repaired sync.Map // hash -> struct{}: repair-once-per-process dedup
 
 	// results holds each run hash's canonical result encoding, made
 	// once per process (resultBytes): hash -> json.RawMessage. It sits
@@ -77,20 +57,17 @@ type Server struct {
 	// shares the one slice.
 	results sync.Map
 
-	jobSeq       atomic.Uint64
-	compSeq      atomic.Uint64 // global completion order (fairness witness)
-	tracedSims   atomic.Uint64 // artifact runs simulated outside the runner
-	fallbackSims atomic.Uint64 // non-owned keys simulated because peers had nothing
-	repairs      atomic.Uint64 // entries re-pushed onto their owners
-	draining     atomic.Bool
-	workers      sync.WaitGroup
+	jobSeq     atomic.Uint64
+	compSeq    atomic.Uint64 // global completion order (fairness witness)
+	tracedSims atomic.Uint64 // artifact runs simulated outside the runner
+	draining   atomic.Bool
+	workers    sync.WaitGroup
 }
 
 // New builds a farm server and starts its workers. The runner's memo
-// layer is wired to the disk cache — and, when peers are configured,
-// through the cluster fetcher — so every fresh simulation is persisted
-// and every later identical run, on this node or any peer, is served
-// without re-simulating. The queue journal is replayed before workers
+// layer is wired to the disk cache, so every fresh simulation is
+// persisted and every later identical run is served without
+// re-simulating. The queue journal is replayed before workers
 // start: accepted-but-unfinished runs from a crashed predecessor
 // re-enter the scheduler ahead of new traffic.
 func New(cfg Config) (*Server, error) {
@@ -117,16 +94,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:   map[string]*job{},
 		rng:    xrand.New(uint64(time.Now().UnixNano())),
 	}
-	runner.SetCache(runnerCache{s: s})
-	if len(cfg.Peers) > 0 {
-		s.ring = cluster.NewRing(cfg.Self, cfg.Peers, defaultReplicas(cfg.Replicas))
-		s.fetcher = cluster.NewFetcher(s.ring, cluster.FetcherConfig{
-			Timeout:          cfg.PeerTimeout,
-			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
-			Validate:         ValidateEntry,
-		})
-	}
+	runner.SetCache(runnerCache{cache: cache})
 
 	wal, replayed, err := openJournal(filepath.Join(cache.Dir(), "queue.wal"))
 	if err != nil {
@@ -140,13 +108,6 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	return s, nil
-}
-
-func defaultReplicas(r int) int {
-	if r <= 0 {
-		return 2
-	}
-	return r
 }
 
 // replay re-enqueues accepted-but-unfinished runs from the journal.
@@ -406,41 +367,6 @@ func (s *Server) executeTraced(r *run) error {
 	return nil
 }
 
-// repair re-pushes the entry for hash onto owner peers that do not
-// hold it yet — replication repair, triggered on reads and fills. It
-// runs at most once per hash per process (later reads are free), is
-// breaker-gated per peer, and failures simply leave the repair for a
-// future read to retry. On a single-node farm it is a no-op.
-func (s *Server) repair(hash string) {
-	if s.fetcher == nil {
-		return
-	}
-	targets := s.ring.OtherOwners(hash)
-	if len(targets) == 0 {
-		return
-	}
-	if _, dup := s.repaired.LoadOrStore(hash, struct{}{}); dup {
-		return
-	}
-	body, ok := s.cache.RawEntry(hash)
-	if !ok {
-		s.repaired.Delete(hash)
-		return
-	}
-	allOK := true
-	for _, peer := range targets {
-		if err := s.fetcher.Push(peer, hash, body); err != nil {
-			allOK = false
-		}
-	}
-	if allOK {
-		s.repairs.Add(1)
-	} else {
-		// Retry on a later read once the peer recovers.
-		s.repaired.Delete(hash)
-	}
-}
-
 // Drain stops admission, lets already-queued work finish, and waits
 // for the workers (bounded by ctx). Every admitted run still executes
 // — close() only stops new offers — so streams of accepted jobs run to
@@ -504,9 +430,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /api/v1/runs/{hash}/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("GET /api/v1/runs/{hash}/entry", s.handleEntryGet)
-	mux.HandleFunc("PUT /api/v1/runs/{hash}/entry", s.handleEntryPut)
 	mux.HandleFunc("GET /api/v1/stats", s.handleStats)
-	mux.HandleFunc("GET /api/v1/cluster/stats", s.handleClusterStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -810,11 +734,9 @@ func runHashParam(req *http.Request) (string, error) {
 	return hash, nil
 }
 
-// handleEntryGet is the read side of the inter-node entry protocol:
-// the verbatim entry.json bytes for a run hash, strictly from the
-// LOCAL cache. A peer asking us must never trigger our own peer fetch
-// — that would bounce requests around the ring forever; a local miss
-// is a 404 and the asker moves on to the next owner or simulates.
+// handleEntryGet serves the verbatim entry.json bytes for a run hash
+// from the disk cache, validated first (Cache.RawEntry). It is a pure
+// read: a miss is a 404 and never starts a simulation.
 func (s *Server) handleEntryGet(w http.ResponseWriter, req *http.Request) {
 	hash, err := runHashParam(req)
 	if err != nil {
@@ -831,62 +753,6 @@ func (s *Server) handleEntryGet(w http.ResponseWriter, req *http.Request) {
 	w.Write(data)
 }
 
-// handleEntryPut is the write side: a replication-repair push from a
-// peer that computed (or holds) an entry this node owns. The body is
-// validated before it touches disk; an existing entry makes the push
-// an idempotent no-op.
-func (s *Server) handleEntryPut(w http.ResponseWriter, req *http.Request) {
-	hash, err := runHashParam(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, 16<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read entry: %v", err)
-		return
-	}
-	if err := s.cache.PutRawEntry(hash, body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad entry: %v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// ClusterSnapshot is the /api/v1/cluster/stats body.
-type ClusterSnapshot struct {
-	Enabled      bool                 `json:"enabled"`
-	Self         string               `json:"self,omitempty"`
-	Peers        []string             `json:"peers,omitempty"`
-	Replicas     int                  `json:"replicas,omitempty"`
-	Fetch        cluster.FetcherStats `json:"fetch"`
-	PeerStatus   []cluster.PeerStatus `json:"peer_status,omitempty"`
-	FallbackSims uint64               `json:"fallback_sims"`
-	Repairs      uint64               `json:"repairs"`
-}
-
-// ClusterStats snapshots the federation counters.
-func (s *Server) ClusterStats() ClusterSnapshot {
-	out := ClusterSnapshot{
-		FallbackSims: s.fallbackSims.Load(),
-		Repairs:      s.repairs.Load(),
-	}
-	if s.fetcher == nil {
-		return out
-	}
-	out.Enabled = true
-	out.Self = s.ring.Self()
-	out.Peers = s.ring.Peers()
-	out.Replicas = s.ring.Replicas()
-	out.Fetch = s.fetcher.Stats()
-	out.PeerStatus = s.fetcher.PeerStatuses()
-	return out
-}
-
-func (s *Server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.ClusterStats())
-}
-
 // StatsSnapshot is the /stats body.
 type StatsSnapshot struct {
 	Queue struct {
@@ -898,7 +764,6 @@ type StatsSnapshot struct {
 	TracedSims uint64          `json:"traced_sims"`
 	Cache      CacheStats      `json:"cache"`
 	WAL        JournalStats    `json:"wal"`
-	Cluster    ClusterSnapshot `json:"cluster"`
 	Draining   bool            `json:"draining"`
 }
 
@@ -913,7 +778,6 @@ func (s *Server) Stats() StatsSnapshot {
 	out.TracedSims = s.tracedSims.Load()
 	out.Cache = s.cache.Stats()
 	out.WAL = s.wal.Stats()
-	out.Cluster = s.ClusterStats()
 	out.Draining = s.draining.Load()
 	return out
 }
